@@ -43,10 +43,6 @@ class Derivation:
         return self.values[index]
 
 
-def unit_monomial(n_gens: int) -> Monomial:
-    return (0,) * n_gens
-
-
 def monomial_degree(gens, m: Monomial) -> int:
     return sum(e * g.degree for e, g in zip(m, gens))
 
@@ -225,14 +221,6 @@ def monomial_basis(gens, degree: int, max_length: int | None = None) -> list[Mon
 
     rec(0, degree, max_length, [])
     return out
-
-
-def max_word_length(gens, degree: int) -> int:
-    """Largest word length any monomial of total degree <= degree can have."""
-    if not gens or degree <= 0:
-        return 0
-    dmin = min(g.degree for g in gens)
-    return degree // dmin
 
 
 def poly_str(gens, p: Polynomial) -> str:

@@ -81,18 +81,14 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="Betti table and representatives")
     add_model_flags(p)
     add_output_flags(p)
-    p.add_argument("--window", type=int, default=None,
-                   help="vanishing window for the ellipticity certificate")
 
     p = sub.add_parser("bigraded", help="bigraded dimensions h[i][k], n_k, N_k")
     add_model_flags(p)
     add_output_flags(p)
-    p.add_argument("--window", type=int, default=None)
 
     p = sub.add_parser("toomer", help="e0, spectrum and per-class values")
     add_model_flags(p)
     add_output_flags(p)
-    p.add_argument("--window", type=int, default=None)
 
     for kind in ("wang", "gysin"):
         p = sub.add_parser(kind, help=f"build and check the {kind.capitalize()} sequence")
@@ -126,8 +122,15 @@ def _load_model(args) -> SullivanModel:
     if getattr(args, "model", None) and getattr(args, "lib", None):
         raise UsageError("give either --model or --lib, not both")
     if getattr(args, "model", None):
-        with open(args.model, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.model, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
+            raise ModelFileError(str(err)) from err
+        except UnicodeDecodeError as err:
+            raise ModelFileError(
+                f"{args.model} is not UTF-8 text ({err.reason} at byte {err.start})"
+            ) from err
         return parse_model(text, name=args.model)
     if getattr(args, "lib", None):
         return get_model(args.lib)
@@ -136,6 +139,10 @@ def _load_model(args) -> SullivanModel:
 
 class UsageError(ValueError):
     pass
+
+
+class ModelFileError(ValueError):
+    """The --model file cannot be read as text."""
 
 
 # -- command handlers: each returns (exit_code, payload, human lines) ----
@@ -175,7 +182,7 @@ def _cmd_validate(args):
 def _cmd_cohomology(args):
     model = _load_model(args)
     engine = engine_for(model)
-    engine.require_certificate(args.window)
+    engine.require_certificate()
     table = engine.cohomology_table()
     gens = model.generators
     payload = {
@@ -205,7 +212,7 @@ def _cmd_cohomology(args):
 def _cmd_bigraded(args):
     model = _load_model(args)
     engine = engine_for(model)
-    engine.require_certificate(args.window)
+    engine.require_certificate()
     table = engine.bigraded_profile()
     payload = {
         "model": model.name,
@@ -234,7 +241,7 @@ def _cmd_bigraded(args):
 def _cmd_toomer(args):
     model = _load_model(args)
     engine = engine_for(model)
-    engine.require_certificate(args.window)
+    engine.require_certificate()
     report = e0_spectrum(model)
     gens = model.generators
     per_class = []
@@ -355,13 +362,18 @@ def _cmd_verify(args):
 
 
 def _cmd_gap_scan(args):
+    if args.count < 0:
+        raise UsageError("--count must be >= 0")
+    try:
+        params = RandomModelParams(n_even=args.evens, n_odd=args.odds, l=args.length)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     corpus = []
     if args.include_library:
         for m in library():
             cert = engine_for(m).certify()
             if cert.ok:
                 corpus.append((m, None))
-    params = RandomModelParams(n_even=args.evens, n_odd=args.odds, l=args.length)
     for offset in range(args.count):
         seed = args.seed + offset
         corpus.append((random_elliptic_model(seed, params), seed))
@@ -439,7 +451,7 @@ def _execute(args) -> tuple[int, dict]:
         return EXIT_USAGE, _document(args, {"error": str(err)}, [f"usage error: {err}"])
     except (ModelSyntaxError, ModelValidationError, UnknownModelError,
             QuotientError, NotEllipticError, NotHomogeneousError,
-            GenerationBudgetError, FileNotFoundError) as err:
+            GenerationBudgetError, ModelFileError) as err:
         msg = str(err)
         return EXIT_VALIDATION, _document(args, {"error": msg}, [f"error: {msg}"])
     except InternalInvariantError as err:

@@ -1,6 +1,6 @@
 """Cohomology of a validated Sullivan model: ungraded H^i, the
 word-length bigraded H^i_k for homogeneous models, formal dimension,
-heuristic ellipticity certification, fundamental class and the
+the exact ellipticity decision, fundamental class and the
 Poincare-duality pairing.
 
 All per-degree and per-(i,k) computations are memoized on a per-model
@@ -38,17 +38,6 @@ class NotHomogeneousError(RuntimeError):
 class InternalInvariantError(RuntimeError):
     """A computed quantity contradicts an invariant the certificate
     guaranteed; always a bug, never user error."""
-
-
-@dataclass(frozen=True)
-class CochainSlice:
-    """One degree of the cochain complex: ordered monomial basis and the
-    differential matrix into the next degree's basis."""
-
-    degree: int
-    basis: tuple[Monomial, ...]
-    d_matrix: RatMatrix
-    length: int | None = None  # word-length strand, None = full slice
 
 
 @dataclass(frozen=True)
@@ -99,12 +88,9 @@ class BigradedTable:
 
 @dataclass(frozen=True)
 class EllipticityCertificate:
-    verdict: str  # 'certificate' | 'refutation' | 'inconclusive'
+    verdict: str  # 'certificate' | 'refutation'
     formal_dimension: int
-    window: int
-    pd_checked: bool
-    witness: str | None = None
-    heuristic: bool = True
+    witness: str | None = None  # why a refutation refutes
 
     @property
     def ok(self) -> bool:
@@ -148,7 +134,7 @@ class CohomologyEngine:
         self._dmat: dict[tuple, RatMatrix] = {}
         self._full: dict[int, _DegreeCohomology] = {}
         self._strand: dict[tuple[int, int], _DegreeCohomology] = {}
-        self._certificates: dict[int | None, EllipticityCertificate] = {}
+        self._certificate: EllipticityCertificate | None = None
         self._profile = length_profile(model)
 
     # -- bases and matrices ---------------------------------------------
@@ -194,14 +180,6 @@ class CohomologyEngine:
         mat = RatMatrix(len(dst), len(src), entries)
         self._dmat[key] = mat
         return mat
-
-    def slice(self, i: int, k: int | None = None) -> CochainSlice:
-        if k is None:
-            basis = tuple(self.basis(i))
-        else:
-            self._require_homogeneous()
-            basis = tuple(self.strand_basis(i, k))
-        return CochainSlice(i, basis, self.d_matrix(i, k), k)
 
     def _require_homogeneous(self):
         if not self._profile.is_homogeneous:
@@ -287,57 +265,82 @@ class CohomologyEngine:
         even = sum(g.degree - 1 for g in self.model.even_generators)
         return odd - even
 
-    def certify(self, window: int | None = None) -> EllipticityCertificate:
-        key = window
-        got = self._certificates.get(key)
-        if got is None:
-            got = self._certify(window)
-            self._certificates[key] = got
-        return got
+    def certify(self) -> EllipticityCertificate:
+        if self._certificate is None:
+            self._certificate = self._certify()
+        return self._certificate
 
-    def _certify(self, window: int | None) -> EllipticityCertificate:
+    def _certify(self) -> EllipticityCertificate:
+        """Decide ellipticity exactly.
+
+        Lambda V is elliptic iff its associated pure model is
+        (Felix-Halperin-Thomas, GTM 205, Prop. 32.16); that model keeps,
+        for each odd y, the terms of dy with no odd factor.  A pure model
+        is elliptic iff A = Q[V^even]/(d_sigma V^odd) is finite-dimensional
+        (Halperin, Finiteness in the minimal models of Sullivan, 1977).
+        A is H_0 of the pure model, so on an elliptic model it vanishes
+        above the formal dimension N.  Vanishing in degrees
+        N+1..N+max|x_even| forces vanishing in every higher degree, since
+        a monomial there is some x_j times a monomial of degree > N.
+        """
         n_form = self.formal_dimension_formula()
-        base = max(n_form, 0)
-        # default window: at least the formal dimension, and deep enough to
-        # see the first nonzero positive degree of any non-elliptic model
-        # (H^p != 0 for p the minimal generator degree)
-        max_deg = max((g.degree for g in self.model.generators), default=1)
-        w = window if window is not None else max(base, max_deg, 1)
-        if w < 1:
-            return EllipticityCertificate(
-                "inconclusive", n_form, w, False, "empty vanishing window"
-            )
-        for i in range(base + 1, base + w + 1):
-            if self.betti(i):
-                cls = self.classes(i)[0]
-                return EllipticityCertificate(
-                    "refutation", n_form, w, False,
-                    f"H^{i} != 0 beyond the formal dimension {n_form}: "
-                    f"[{cls.pretty(self.gens)}]",
-                )
         if n_form < 0:
             return EllipticityCertificate(
-                "inconclusive", n_form, w, False,
-                f"formula gives negative formal dimension {n_form} but no "
-                f"witness class found in the window",
+                "refutation", n_form,
+                f"the formula gives a negative formal dimension {n_form}",
             )
-        if self.betti(n_form) != 1:
-            return EllipticityCertificate(
-                "refutation", n_form, w, False,
-                f"dim H^{n_form} = {self.betti(n_form)} != 1 at the formal dimension",
-            )
-        for i in range(0, n_form + 1):
+        witness = self._pure_quotient_witness(n_form)
+        if witness:
+            return EllipticityCertificate("refutation", n_form, witness)
+        for i in range(n_form + 1):
             mat, ok = self.pd_pairing(i)
             if not ok:
-                return EllipticityCertificate(
-                    "refutation", n_form, w, True,
+                raise InternalInvariantError(
                     f"Poincare pairing H^{i} x H^{n_form - i} is degenerate "
-                    f"({mat.rows}x{mat.cols}, rank deficient)",
+                    f"({mat.rows}x{mat.cols}) on an elliptic model"
                 )
-        return EllipticityCertificate("certificate", n_form, w, True)
+        return EllipticityCertificate("certificate", n_form)
 
-    def require_certificate(self, window: int | None = None) -> EllipticityCertificate:
-        cert = self.certify(window)
+    def _pure_quotient_witness(self, n_form: int) -> str | None:
+        """A degree in N+1..N+max|x_even| where Q[V^even]/(d_sigma V^odd)
+        is nonzero, with a monomial outside the ideal; None when the
+        quotient vanishes there (always, without even generators)."""
+        evens = self.model.even_generators
+        odds = self.model.odd_generators
+        relations = []
+        for y in odds:
+            rel = {
+                tuple(m[g.index] for g in evens): c
+                for m, c in self.model.d_of(y.index).items()
+                if not any(m[g.index] for g in odds)
+            }
+            if rel:
+                relations.append((y.degree + 1, rel))
+        top = max((g.degree for g in evens), default=0)
+        for n in range(n_form + 1, n_form + top + 1):
+            basis = monomial_basis(evens, n)
+            index = {m: r for r, m in enumerate(basis)}
+            entries = {}
+            row = 0
+            for degree, rel in relations:
+                for mult in monomial_basis(evens, n - degree):
+                    for m, c in rel.items():
+                        entries[(row, index[tuple(a + b for a, b in zip(mult, m))])] = c
+                    row += 1
+            outside = kernel_basis(RatMatrix(row, len(basis), entries))
+            if outside:
+                # kernel vectors come in echelon free-column order: the last
+                # nonzero entry of one marks a free column, a monomial that
+                # the ideal's span does not contain
+                j = max(r for r, c in enumerate(outside[0]) if c)
+                return (
+                    f"Q[V^even]/(d_sigma V^odd) != 0 in degree {n} > N = {n_form}: "
+                    f"{poly_str(evens, {basis[j]: 1})} is outside the ideal"
+                )
+        return None
+
+    def require_certificate(self) -> EllipticityCertificate:
+        cert = self.certify()
         if not cert.ok:
             raise NotEllipticError(
                 f"model is not certified elliptic ({cert.verdict}): {cert.witness}"
@@ -358,11 +361,13 @@ class CohomologyEngine:
         """Matrix of H^i x H^(N-i) -> H^N = Q and its nondegeneracy flag.
 
         Used inside certification, so it must not require a certificate;
-        it does require dim H^N = 1 (checked by the caller)."""
+        it does require dim H^N = 1, which ellipticity guarantees."""
         n = self.formal_dimension_formula()
         top = self.full(n)
         if top.dim != 1:
-            raise InternalInvariantError(f"dim H^{n} != 1, pairing undefined")
+            raise InternalInvariantError(
+                f"dim H^{n} = {top.dim} != 1 at the formal dimension, pairing undefined"
+            )
         left = self.classes(i)
         right = self.classes(n - i)
         entries = {}
@@ -439,8 +444,8 @@ def formal_dimension_formula(model: SullivanModel) -> int:
     return engine_for(model).formal_dimension_formula()
 
 
-def certify_elliptic(model: SullivanModel, window: int | None = None) -> EllipticityCertificate:
-    return engine_for(model).certify(window)
+def certify_elliptic(model: SullivanModel) -> EllipticityCertificate:
+    return engine_for(model).certify()
 
 
 def fundamental_class(model: SullivanModel) -> CohomologyClass:

@@ -68,33 +68,11 @@ class RatMatrix:
                     entries[(r, c)] = _as_fraction(v)
         return cls(rows, cols, entries)
 
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> "RatMatrix":
-        columns = [tuple(col) for col in columns]
-        if rows is None:
-            if not columns:
-                raise DimensionMismatchError("row count needed for empty column list")
-            rows = len(columns[0])
-        entries = {}
-        for c, col in enumerate(columns):
-            if len(col) != rows:
-                raise DimensionMismatchError("ragged columns")
-            for r, v in enumerate(col):
-                if v:
-                    entries[(r, c)] = _as_fraction(v)
-        return cls(rows, len(columns), entries)
-
     def entry(self, r: int, c: int) -> Fraction:
         return self._entries.get((r, c), ZERO)
 
     def column(self, c: int) -> Vector:
         return tuple(self._entries.get((r, c), ZERO) for r in range(self.rows))
-
-    def row(self, r: int) -> Vector:
-        return tuple(self._entries.get((r, c), ZERO) for c in range(self.cols))
-
-    def columns(self) -> list[Vector]:
-        return [self.column(c) for c in range(self.cols)]
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(
@@ -425,10 +403,3 @@ class Echelon:
         self._pivots.insert(pos, pivot)
         self._labels.insert(pos, label)
         return tuple(red)
-
-    def add_all(self, vectors) -> int:
-        added = 0
-        for v in vectors:
-            if self.add(v) is not None:
-                added += 1
-        return added

@@ -293,6 +293,17 @@ class RandomModelParams:
     leading_odd_sphere: bool = False
     max_attempts: int = 64
 
+    def __post_init__(self):
+        if self.n_even < 0:
+            raise ValueError("the number of even generators must be >= 0")
+        if self.n_odd < self.n_even:
+            raise ValueError(
+                "infeasible parameters: a pure model needs at least as many odd "
+                "generators as even ones to be elliptic"
+            )
+        if self.l < 2:
+            raise ValueError("differential length must be >= 2")
+
 
 class GenerationBudgetError(RuntimeError):
     pass
@@ -304,13 +315,6 @@ def random_elliptic_model(seed: int, params: RandomModelParams) -> SullivanModel
     ever returning an uncertified model."""
     from .cohomology import certify_elliptic  # deferred: engine depends on model
 
-    if params.n_odd < params.n_even:
-        raise ValueError(
-            "infeasible parameters: a pure model needs at least as many odd "
-            "generators as even ones to be elliptic"
-        )
-    if params.l < 2:
-        raise ValueError("differential length must be >= 2")
     rng = random.Random(seed)
     for attempt in range(params.max_attempts):
         model = _sample_pure(rng, params, seed, attempt)

@@ -4,8 +4,9 @@ Stripping the first generator x1 off a model gives a short exact
 sequence of cochain complexes whose long exact cohomology sequence is
 the Wang sequence (x1 odd, connecting map the derivation theta*) or the
 Gysin sequence (x1 even, connecting map the divide-by-x1 lift).  Nodes
-are materialized inside a finite window; outside it every group vanishes
-for certified models, so windowed exactness is a complete verification.
+are materialized in degrees 0..i_max; above the formal dimensions every
+group vanishes for elliptic models, so exactness up to there is a
+complete verification.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def build_wang(model: SullivanModel, bigraded: bool | None = None,
     """Wang sequence data for an odd cocycle first generator.
 
     Without an explicit i_max the model (and its quotient) must certify
-    elliptic, which makes the windowed exactness check complete; passing
-    i_max checks a finite stretch of the sequence on any valid model."""
+    elliptic, which makes the exactness check complete; passing i_max
+    checks a finite stretch of the sequence on any valid model."""
     x1 = model.generators[0]
     if not x1.is_odd:
         raise QuotientError(f"Wang sequence needs an odd first generator, {x1.name} is even")
@@ -282,11 +283,6 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
     )
 
 
-def _zero_matrix_for(les: LesData, node: NodeKey, as_source: bool, other_dim: int = 0) -> RatMatrix:
-    d = les.dim(node)
-    return RatMatrix(other_dim, d) if as_source else RatMatrix(d, other_dim)
-
-
 def _node_checks(les: LesData):
     """Yield (node, role, incoming map key or None, outgoing map key or None).
 
@@ -369,7 +365,7 @@ def check_exactness(les: LesData, node_filter=None) -> LesReport:
         m_quot = engine_for(les.quotient).require_certificate().formal_dimension
         relation = _relation_verdict(les.x1_degree, n_total, m_quot)
     except NotEllipticError:
-        pass  # explicit-window usage on a non-certified model
+        pass  # explicit i_max on a model that is not elliptic
     return LesReport(
         kind=les.kind,
         bigraded=les.bigraded,

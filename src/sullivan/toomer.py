@@ -12,8 +12,6 @@ counts independent witnesses.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -245,43 +243,24 @@ class GapScanRecord:
         return "GAP FOUND" if self.gaps else "no-gaps"
 
 
-def worker_count() -> int:
-    env = os.environ.get("SULLIVAN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def gap_scan(corpus) -> list[GapScanRecord]:
     """Spectrum + gap verdict for every (model, seed) pair in the corpus.
 
     corpus: iterable of (model, seed-or-None).  Results come back sorted
-    by model name regardless of worker scheduling.
+    by model name.
     """
     from .parser import print_model
 
-    items = list(corpus)
-
-    def run(item):
-        model, seed = item
+    records = []
+    for model, seed in corpus:
         report = e0_spectrum(model)
-        return GapScanRecord(
+        records.append(GapScanRecord(
             model_name=model.name or "anonymous",
             model_text=print_model(model),
             seed=seed,
             e0=report.e0_algebra,
             spectrum=report.spectrum,
             gaps=report.gaps,
-        )
-
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, items))
-    else:
-        records = [run(item) for item in items]
+        ))
     records.sort(key=lambda r: r.model_name)
     return records

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import sullivan.cli as cli
 from sullivan.cli import main, run_command
 from sullivan.library import model_text
@@ -147,9 +149,25 @@ def test_missing_model_file_exit_3(capsys):
     assert main(["toomer", "--model", "/nonexistent/path.sul"]) == 3
 
 
-def test_window_flag_accepted(capsys):
-    assert main(["cohomology", "--lib", "sphere:3", "--window", "5"]) == 0
-    assert main(["toomer", "--lib", "cp:2", "--window", "4"]) == 0
+def test_window_flag_rejected(capsys):
+    for command in ("cohomology", "bigraded", "toomer"):
+        assert main([command, "--lib", "cp:2", "--window", "4"]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cohomology", "--model", "{dir}"], 3),
+    (["cohomology", "--model", "{binary}"], 3),
+    (["gap-scan", "--evens", "3", "--odds", "1"], 2),
+    (["gap-scan", "--length", "1"], 2),
+    (["gap-scan", "--count", "-1"], 2),
+])
+def test_bad_inputs_exit_with_one_line_message(tmp_path, capsys, argv, code):
+    binary = tmp_path / "model.bin"
+    binary.write_bytes(b"gen x 2\n\xff\xfe\x00")
+    argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and "error" in out
 
 
 def test_gap_scan_includes_library(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -20,9 +21,63 @@ from sullivan.cohomology import (
 )
 from sullivan.library import get_model, library
 from sullivan.linalg import matmul
-from sullivan.model import length_profile, make_model
+from sullivan.model import (
+    RandomModelParams,
+    length_profile,
+    make_model,
+    random_elliptic_model,
+)
+from sullivan.parser import parse_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the package re-exports a function named `cohomology` over the submodule
+cohomology_module = importlib.import_module("sullivan.cohomology")
+
+# degrees above the formal dimension checked for vanishing cohomology
+VANISHING_DEPTH = 8
+
+# hand-written controls for the ellipticity decision, pure and not pure
+CERTIFICATE_CONTROLS = {
+    "free-even": ("gen x 2\n", False),  # N < 0
+    "pure-infinite": (
+        "gen x1 2\ngen x2 2\ngen y1 3\ngen y2 3\n"
+        "d y1 = x1^2\nd y2 = x1*x2\n", False),  # N = 4, x2^k survives
+    "even-with-d": (
+        "gen a 3\ngen b 3\ngen c 3\ngen x 8\nd x = a*b*c\n", False),
+    "not-pure-elliptic": (
+        "gen x 2\ngen a 3\ngen b 3\ngen y 5\nd y = x^3 + a*b\n", True),
+}
+
+
+# sampler shapes that reject some attempts: two quadrics in two degree-2
+# evens share a factor now and then, and evens of degrees 2 and 4 often do
+SAMPLED_SHAPES = [
+    RandomModelParams(n_even=2, n_odd=2, l=2),
+    RandomModelParams(n_even=2, n_odd=2, l=2, max_even_degree=4),
+]
+
+
+def window_certificate_verdict(engine) -> str:
+    """The vanishing-window scan that certified ellipticity before the
+    exact decision, kept as a cross-check reference.
+
+    'refutation' when H is nonzero in some degree N+1..N+w, with
+    w = max(N, largest generator degree, 1), or when H^N is not
+    one-dimensional or a Poincare pairing degenerates; 'inconclusive' when
+    N < 0 and the window shows nothing; else 'certificate'."""
+    n = engine.formal_dimension_formula()
+    base = max(n, 0)
+    w = max(base, max((g.degree for g in engine.gens), default=1), 1)
+    if any(engine.betti(i) for i in range(base + 1, base + w + 1)):
+        return "refutation"
+    if n < 0:
+        return "inconclusive"
+    if engine.betti(n) != 1:
+        return "refutation"
+    if not all(engine.pd_pairing(i)[1] for i in range(n + 1)):
+        return "refutation"
+    return "certificate"
 
 
 def load_betti_fixture():
@@ -112,19 +167,53 @@ def test_certify_refutes_free_polynomial_algebra():
     m = make_model([("x", 2)])
     cert = certify_elliptic(m)
     assert cert.verdict == "refutation"
-    assert "H^2" in cert.witness
+    assert "negative formal dimension -1" in cert.witness
+
+
+def test_refutation_witness_names_degree_and_monomial():
+    text, _ = CERTIFICATE_CONTROLS["pure-infinite"]
+    cert = certify_elliptic(parse_model(text))
+    assert cert.verdict == "refutation" and cert.formal_dimension == 4
+    assert "degree 6" in cert.witness and "x2^3" in cert.witness
 
 
 def test_certify_all_library_models():
     for m in library():
         cert = certify_elliptic(m)
         assert cert.ok, f"{m.name}: {cert.verdict} {cert.witness}"
-        assert cert.heuristic
+        assert cert.witness is None
 
 
-def test_certificate_records_window():
+def test_certificate_records_formal_dimension():
     cert = certify_elliptic(get_model("cp:2"))
-    assert cert.window >= cert.formal_dimension
+    assert (cert.verdict, cert.formal_dimension, cert.witness) == ("certificate", 4, None)
+
+
+def test_certificate_agrees_with_window_scan(monkeypatch, random_corpus):
+    """The exact decision and the old window scan agree on the library,
+    the 50-model corpus, the controls and every model the sampler drew
+    for two small shapes, rejected attempts included."""
+    drawn = []
+    decide = cohomology_module.certify_elliptic
+
+    def recording(model):
+        drawn.append(model)
+        return decide(model)
+
+    monkeypatch.setattr(cohomology_module, "certify_elliptic", recording)
+    for params in SAMPLED_SHAPES:
+        for seed in range(60):
+            random_elliptic_model(seed, params)
+    monkeypatch.undo()
+    assert any(not certify_elliptic(m).ok for m in drawn)
+    controls = [parse_model(text, name=name)
+                for name, (text, _) in CERTIFICATE_CONTROLS.items()]
+    for m in library() + random_corpus + drawn + controls:
+        cert = certify_elliptic(m)
+        reference = window_certificate_verdict(engine_for(m))
+        assert cert.ok == (reference == "certificate"), (m.name, cert, reference)
+    for m, (_, elliptic) in zip(controls, CERTIFICATE_CONTROLS.values()):
+        assert certify_elliptic(m).ok == elliptic, m.name
 
 
 def test_fundamental_class_odd_sphere():
@@ -260,10 +349,9 @@ def test_bigraded_duality_identity():
 def test_formula_matches_computed_top_degree():
     for m in library():
         engine = engine_for(m)
-        cert = engine.require_certificate()
-        n = cert.formal_dimension
+        n = engine.require_certificate().formal_dimension
         assert engine.betti(n) > 0
-        for i in range(n + 1, n + cert.window + 1):
+        for i in range(n + 1, n + VANISHING_DEPTH + 1):
             assert engine.betti(i) == 0
 
 

@@ -212,12 +212,3 @@ def test_gap_scan_library_no_gaps():
     assert all(r.verdict == "no-gaps" for r in records)
     names = [r.model_name for r in records]
     assert names == sorted(names)
-
-
-def test_gap_scan_threaded_matches_serial(monkeypatch):
-    corpus = [(get_model("cp:2"), None), (get_model("sphere:3"), None),
-              (get_model("heisenberg"), None)]
-    serial = gap_scan(corpus)
-    monkeypatch.setenv("SULLIVAN_THREADS", "3")
-    threaded = gap_scan(corpus)
-    assert serial == threaded
