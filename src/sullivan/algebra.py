@@ -102,13 +102,6 @@ def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     return out
 
 
-def poly_scale(p: Polynomial, c) -> Polynomial:
-    c = c if isinstance(c, Fraction) else Fraction(c)
-    if c == 0:
-        return {}
-    return {m: v * c for m, v in p.items()}
-
-
 def multiply(gens, p: Polynomial, q: Polynomial) -> Polynomial:
     """Bilinear Koszul-signed product."""
     out: Polynomial = {}
@@ -140,6 +133,8 @@ def poly_degree(gens, p: Polynomial) -> int | None:
 
 
 def apply_derivation(gens, deriv: Derivation, p: Polynomial) -> Polynomial:
+    if len(p) == 1 and 1 in p.values():  # one monomial, as the differential matrices ask
+        return _derive_monomial(gens, deriv, next(iter(p)))
     out: Polynomial = {}
     for m, c in p.items():
         for m_out, c_out in _derive_monomial(gens, deriv, m).items():
@@ -152,37 +147,48 @@ def apply_derivation(gens, deriv: Derivation, p: Polynomial) -> Polynomial:
 
 
 def _derive_monomial(gens, deriv: Derivation, m: Monomial) -> Polynomial:
-    """Leibniz expansion of D on one canonical monomial.
+    """Leibniz expansion of D on one canonical monomial, in closed form:
 
-    Peels generators off the front: for m = v^e * rest,
-    D(m) = D(v^e)*rest + (-1)^(shift*e*|v|) v^e * D(rest), with
-    D(v^e) = e v^(e-1) D(v) (e <= 1 for odd v).
+        D(x^a) = sum_i (-1)^(shift*|x_1^a_1...x_(i-1)^a_(i-1)|) a_i x^(a-e_i) D(x_i)
+
+    where each product is put in canonical order.  For a term u of D(x_i)
+    the sign of moving it into place is (-1)^(|u|*|L|) times the Koszul
+    sign of u*x^(a-e_i), with L = x_1^a_1...x_i^(a_i-1) the factors that
+    stood before it; the Koszul sign counts the odd-odd inversions
+    between u and x^(a-e_i), and a shared odd generator kills the term.
+    Signs and multiplicities are integers, applied once per term, and
+    integer coefficients are summed as integers.
     """
-    support = [i for i, e in enumerate(m) if e]
-    if not support:
-        return {}
-    i = support[0]
-    e = m[i]
-    g = gens[i]
-    rest = list(m)
-    rest[i] = 0
-    rest = tuple(rest)
-    head_only = tuple(e if j == i else 0 for j in range(len(m)))
-
-    out: Polynomial = {}
-    dv = deriv.value_on(i)
-    if dv:
-        # D(v^e) = e * v^(e-1) * D(v); the e-1 power of an even v needs no sign
-        head_less = tuple(e - 1 if j == i else 0 for j in range(len(m)))
-        lead = multiply(gens, multiply(gens, {head_less: Fraction(e)}, dv), {rest: Fraction(1)})
-        out = poly_add(out, lead)
-    if any(rest):
-        tail = _derive_monomial(gens, deriv, rest)
-        if tail:
-            sign = -1 if (deriv.degree_shift * e * g.degree) % 2 else 1
-            tail = multiply(gens, {head_only: Fraction(sign)}, tail)
-            out = poly_add(out, tail)
-    return out
+    odd = [g.degree & 1 for g in gens]
+    shift = deriv.degree_shift & 1
+    # below[p]: odd generators of m with index < p
+    below = [0] * (len(m) + 1)
+    for p, e in enumerate(m):
+        below[p + 1] = below[p] + (1 if e and odd[p] else 0)
+    out: dict[Monomial, int | Fraction] = {}
+    for i, a in enumerate(m):
+        dv = deriv.values[i] if a else None
+        if not dv:
+            continue
+        before = below[i]  # odd factors of x_1^a_1...x_(i-1)^a_(i-1)
+        drop_odd = odd[i]  # x^(a-e_i) loses the odd generator x_i
+        w = list(m)
+        w[i] -= 1
+        for u, c in dv.items():
+            flips = shift * before
+            u_odd = 0
+            for p, e in enumerate(u):
+                if e and odd[p]:
+                    if w[p]:
+                        break
+                    u_odd += 1
+                    flips += below[p] - (drop_odd and i < p)
+            else:
+                flips += u_odd * (before + (1 if a > 1 and odd[i] else 0))
+                key = tuple(x + y for x, y in zip(w, u))
+                k = -a if flips & 1 else a
+                out[key] = out.get(key, 0) + k * (c.numerator if c.denominator == 1 else c)
+    return {key: Fraction(c) for key, c in out.items() if c}
 
 
 def monomial_basis(gens, degree: int, max_length: int | None = None) -> list[Monomial]:

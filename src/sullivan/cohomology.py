@@ -254,10 +254,6 @@ class CohomologyEngine:
         dc = self.full(i) if k is None else self.strand(i, k)
         return dc.coordinates(self.vectorize(p, dc.index))
 
-    def classes_equal(self, i: int, p: Polynomial, q: Polynomial) -> bool:
-        """Class equality: the difference is a coboundary."""
-        return self.class_coordinates(i, p) == self.class_coordinates(i, q)
-
     # -- ellipticity ----------------------------------------------------
 
     def formal_dimension_formula(self) -> int:
@@ -317,13 +313,20 @@ class CohomologyEngine:
             if rel:
                 relations.append((y.degree + 1, rel))
         top = max((g.degree for g in evens), default=0)
+        bases: dict[int, list[Monomial]] = {}  # each degree enumerated once
+
+        def basis_of(b: int) -> list[Monomial]:
+            if b not in bases:
+                bases[b] = monomial_basis(evens, b)
+            return bases[b]
+
         for n in range(n_form + 1, n_form + top + 1):
-            basis = monomial_basis(evens, n)
+            basis = basis_of(n)
             index = {m: r for r, m in enumerate(basis)}
             entries = {}
             row = 0
             for degree, rel in relations:
-                for mult in monomial_basis(evens, n - degree):
+                for mult in basis_of(n - degree):
                     for m, c in rel.items():
                         entries[(row, index[tuple(a + b for a, b in zip(mult, m))])] = c
                     row += 1

@@ -97,7 +97,7 @@ d y2 = x^4
 }
 
 
-class UnknownModelError(KeyError):
+class UnknownModelError(LookupError):
     pass
 
 

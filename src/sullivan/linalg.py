@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with `fractions.Fraction` (arbitrary-precision,
-always in lowest terms) -- no floating point anywhere.  Elimination uses
-deterministic pivoting (first nonzero row in column order) so that every
-downstream basis, representative cocycle and report is reproducible.
+`fractions.Fraction` is the coefficient type at the boundary: matrices
+hold Fraction entries and every vector handed out has Fraction entries.
+Inside, elimination is fraction-free: each row is scaled to a primitive
+integer row (denominators cleared, content divided out), rows are
+combined by cross-multiplication and made primitive again, and only the
+final pivot rows are divided by their pivots.  No floating point and no
+modular arithmetic anywhere.  Elimination uses deterministic pivoting
+(first nonzero row in column order) so that every downstream basis,
+representative cocycle and report is reproducible; the reduced echelon
+form is unique, so the scaling never changes a result.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ def _as_fraction(x) -> Fraction:
 class RatMatrix:
     """Immutable rational matrix with sparse entry storage.
 
-    Entries are kept in a dict keyed by (row, col); zero entries are never
-    stored.  Elimination routines densify row-by-row when fill-in makes
-    that cheaper (monomial differentials are sparse, elimination is not).
+    Entries are Fractions kept in a dict keyed by (row, col); zero entries
+    are never stored.  Elimination works on sparse primitive integer rows
+    built from them (see `_rref`).
     """
 
     __slots__ = ("rows", "cols", "_entries")
@@ -79,11 +85,6 @@ class RatMatrix:
             self.cols, self.rows, {(c, r): v for (r, c), v in self._entries.items()}
         )
 
-    def density(self) -> float:
-        if self.rows * self.cols == 0:
-            return 0.0
-        return len(self._entries) / (self.rows * self.cols)
-
     def apply(self, vec) -> Vector:
         """Matrix times column vector."""
         vec = tuple(vec)
@@ -111,140 +112,82 @@ class RatMatrix:
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, {len(self._entries)} entries)"
 
-    def _row_lists(self) -> list[list[Fraction]]:
-        data = [[ZERO] * self.cols for _ in range(self.rows)]
+    def _int_rows(self) -> list[dict[int, int]]:
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
         for (r, c), v in self._entries.items():
-            data[r][c] = v
-        return data
-
-    def _row_dicts(self) -> list[dict[int, Fraction]]:
-        data: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
-        for (r, c), v in self._entries.items():
-            data[r][c] = v
-        return data
+            rows[r][c] = v
+        return [_primitive(row) for row in rows]
 
 
-_FILL_IN_LIMIT = 0.5
+def _primitive(row: dict) -> dict[int, int]:
+    """The primitive integer row proportional to a sparse rational (or
+    integer) row: denominators cleared, content divided out."""
+    if not row:
+        return {}
+    den = lcm(*[v.denominator for v in row.values()])
+    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    g = gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()} if g != 1 else ints
 
 
-def _rref_dense(rows: list[list[Fraction]], cols: int, pivots: list[int],
-                piv_r: int, start_col: int):
-    n_rows = len(rows)
-    for c in range(start_col, cols):
-        sel = None
-        for r in range(piv_r, n_rows):
-            if rows[r][c]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        if sel != piv_r:
-            rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        pv = rows[piv_r][c]
-        if pv != 1:
-            inv = ONE / pv
-            row = rows[piv_r]
-            for j in range(c, cols):
-                if row[j]:
-                    row[j] *= inv
-        src = rows[piv_r]
-        for r in range(n_rows):
-            if r == piv_r:
-                continue
-            f = rows[r][c]
-            if f:
-                dst = rows[r]
-                for j in range(c, cols):
-                    if src[j]:
-                        dst[j] -= f * src[j]
-        pivots.append(c)
-        piv_r += 1
-        if piv_r == n_rows:
-            break
-    return rows, pivots
+def _combine(dst: dict[int, int], src: dict[int, int], col: int) -> tuple[dict[int, int], int, int]:
+    """Cancel dst's entry at col with src: the primitive integer row
+    (a*dst - b*src) / h, where b/a = dst[col]/src[col] in lowest terms
+    with a > 0 and h is the content.  Returns (row, a, h); dst itself may
+    be reused for the row."""
+    a, b = src[col], dst[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a < 0:
+        a, b = -a, -b
+    out = {j: a * v for j, v in dst.items()} if a != 1 else dst
+    for j, v in src.items():
+        x = out.get(j, 0) - b * v
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    h = gcd(*out.values()) if out else 1
+    if h != 1:
+        out = {j: v // h for j, v in out.items()}
+    return out, a, h
 
 
-def _rref(m: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of m: (dense rows, pivot columns).
+def _rref(m: RatMatrix) -> tuple[list[dict[int, int]], list[int]]:
+    """Integer Gauss-Jordan elimination of m: (pivot rows, pivot columns).
 
-    Runs sparse (dict rows) while the matrix stays sparse, and densifies
-    once fill-in exceeds 50%: monomial differentials are sparse, but
-    elimination is not.  Pivot choice is the first row in current order
-    with a nonzero entry in the column -- deterministic either way.
+    Pivot row r is a sparse primitive integer row whose entry at
+    pivots[r] is its pivot; dividing it by that pivot gives row r of the
+    reduced row echelon form.  Every row starts primitive and stays
+    primitive after each cross-multiplication.  Pivot choice is the first
+    row in current order with a nonzero entry in the column.
     """
-    cols = m.cols
-    if m.rows == 0 or cols == 0:
-        return m._row_lists(), []
-    if m.density() > _FILL_IN_LIMIT:
-        return _rref_dense(m._row_lists(), cols, [], 0, 0)
-    rows = m._row_dicts()
+    if m.is_zero():
+        return [], []
+    rows = m._int_rows()
     n_rows = len(rows)
-    cells = n_rows * cols
-    nnz = sum(len(r) for r in rows)
     pivots: list[int] = []
     piv_r = 0
-    for c in range(cols):
-        if nnz > _FILL_IN_LIMIT * cells:
-            dense = [[row.get(j, ZERO) for j in range(cols)] for row in rows]
-            return _rref_dense(dense, cols, pivots, piv_r, c)
-        sel = None
-        for r in range(piv_r, n_rows):
-            if rows[r].get(c):
-                sel = r
-                break
+    for c in range(m.cols):
+        if piv_r == n_rows:
+            break
+        sel = next((r for r in range(piv_r, n_rows) if c in rows[r]), None)
         if sel is None:
             continue
         if sel != piv_r:
             rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
         src = rows[piv_r]
-        pv = src[c]
-        if pv != 1:
-            inv = ONE / pv
-            for j in list(src):
-                src[j] *= inv
         for r in range(n_rows):
-            if r == piv_r:
-                continue
-            dst = rows[r]
-            f = dst.get(c)
-            if f:
-                nnz -= len(dst)
-                for j, v in src.items():
-                    cur = dst.get(j, ZERO) - f * v
-                    if cur:
-                        dst[j] = cur
-                    else:
-                        dst.pop(j, None)
-                nnz += len(dst)
+            if r != piv_r and c in rows[r]:
+                rows[r] = _combine(rows[r], src, c)[0]
         pivots.append(c)
         piv_r += 1
-        if piv_r == n_rows:
-            break
-    dense = [[row.get(j, ZERO) for j in range(cols)] for row in rows]
-    return dense, pivots
+    return rows[:piv_r], pivots
 
 
 def rank(m: RatMatrix) -> int:
     """Rank over Q via exact elimination."""
-    if m.rows == 0 or m.cols == 0 or m.is_zero():
-        return 0
-    _, pivots = _rref(m)
-    return len(pivots)
-
-
-def _normalize_integral(vec: list[Fraction]) -> Vector:
-    """Scale a rational vector to integer entries with content 1."""
-    denoms = [v.denominator for v in vec if v]
-    if not denoms:
-        return tuple(vec)
-    mult = lcm(*denoms) if len(denoms) > 1 else denoms[0]
-    ints = [v * mult for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v.numerator))
-    if g > 1:
-        ints = [v / g for v in ints]
-    return tuple(ints)
+    return len(_rref(m)[1])
 
 
 def kernel_basis(m: RatMatrix) -> list[Vector]:
@@ -253,26 +196,29 @@ def kernel_basis(m: RatMatrix) -> list[Vector]:
     Vectors come out in reduced-echelon free-variable order, scaled to
     integer entries with content 1 (the free coordinate stays positive).
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0 or m.is_zero():
-        basis = []
-        for c in range(m.cols):
-            v = [ZERO] * m.cols
-            v[c] = ONE
-            basis.append(tuple(v))
-        return basis
     rows, pivots = _rref(m)
+    # the pivot-column entries of each free column's vector, -row[f]/row[pc]
+    by_free: dict[int, list[tuple[int, int, int]]] = {}
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        for f, q in row.items():
+            if f != pc:
+                by_free.setdefault(f, []).append((pc, -q, p))
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        # scaling by the lcm of the reduced denominators gives integers
+        # with content 1: a prime power dividing the lcm exactly divides
+        # some denominator, and so not that entry's scaled numerator
+        entries = by_free.get(f, ())
+        scale = lcm(*[p // gcd(q, p) for _, q, p in entries])
         v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, pc in enumerate(pivots):
-            if rows[r][f]:
-                v[pc] = -rows[r][f]
-        basis.append(_normalize_integral(v))
+        v[f] = Fraction(scale)
+        for pc, q, p in entries:
+            v[pc] = Fraction(q * scale // p)
+        basis.append(tuple(v))
     return basis
 
 
@@ -298,8 +244,9 @@ def solve_membership(m: RatMatrix, v) -> Vector | None:
     if m.cols in pivots:
         return None
     coeffs = [ZERO] * m.cols
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = rows[r][m.cols]
+    for row, pc in zip(rows, pivots):
+        if m.cols in row:
+            coeffs[pc] = Fraction(row[m.cols], row[pc])
     return tuple(coeffs)
 
 
@@ -325,31 +272,22 @@ def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix(a.rows, b.cols, entries)
 
 
-def quotient_dimension(ambient_dim: int, subspace) -> int:
-    """dim(ambient / span(subspace))."""
-    vectors = [tuple(v) for v in subspace]
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise DimensionMismatchError("subspace vector length != ambient dimension")
-    if not vectors:
-        return ambient_dim
-    return ambient_dim - rank(RatMatrix.from_rows(vectors))
-
-
 class Echelon:
     """Incremental row-echelon accumulator used for span membership,
     quotient bases and coordinate extraction.
 
-    Rows are kept monic at their pivot.  Each row can carry a label;
-    reduce_with_coeffs reports the coefficient used on every labelled row,
-    which is how cohomology classes get coordinates in a chosen basis.
+    Rows are stored as sparse primitive integer rows; the row handed out
+    by `add`, and the row every coefficient refers to, is the stored row
+    divided by its pivot (monic).  Each row can carry a label;
+    reduce_with_coeffs reports the coefficient used on every labelled
+    row, which is how cohomology classes get coordinates in a chosen basis.
     """
 
     __slots__ = ("dim", "_rows", "_pivots", "_labels")
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list[list[Fraction]] = []
+        self._rows: list[dict[int, int]] = []
         self._pivots: list[int] = []
         self._labels: list[object] = []
 
@@ -358,48 +296,60 @@ class Echelon:
         return len(self._rows)
 
     def clone(self) -> "Echelon":
+        # stored rows are never mutated, so the copy can share them
         dup = Echelon(self.dim)
-        dup._rows = [row[:] for row in self._rows]
+        dup._rows = self._rows[:]
         dup._pivots = self._pivots[:]
         dup._labels = self._labels[:]
         return dup
 
-    def _reduce(self, vec: list[Fraction], coeffs: dict | None = None) -> list[Fraction]:
-        for idx, (row, p) in enumerate(zip(self._rows, self._pivots)):
-            f = vec[p]
+    def _reduce(self, vec, coeffs: dict | None = None) -> tuple[dict[int, int], Fraction]:
+        """(num, scale) with num a primitive integer row and num * scale
+        the reduction of vec against the rows, taken in pivot order."""
+        row = {j: x for j, x in enumerate(vec) if x}
+        num = _primitive(row)
+        lead = next(iter(row), None)
+        scale = ONE if lead is None else Fraction(row[lead], num[lead])
+        for stored, p, label in zip(self._rows, self._pivots, self._labels):
+            f = num.get(p)
             if f:
-                for j in range(p, self.dim):
-                    if row[j]:
-                        vec[j] -= f * row[j]
-                if coeffs is not None and self._labels[idx] is not None:
-                    coeffs[self._labels[idx]] = f
-        return vec
+                if coeffs is not None and label is not None:
+                    coeffs[label] = scale * f
+                num, a, h = _combine(num, stored, p)
+                if not num:
+                    break
+                if a != 1 or h != 1:
+                    scale = scale * h / a
+        return num, scale
+
+    def _dense(self, num: dict[int, int], scale: Fraction) -> Vector:
+        out = [ZERO] * self.dim
+        for j, x in num.items():
+            out[j] = scale * x
+        return tuple(out)
 
     def residual(self, vec) -> Vector:
-        return tuple(self._reduce([_as_fraction(x) for x in vec]))
+        return self._dense(*self._reduce(vec))
 
     def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
+        return not self._reduce(vec)[0]
 
     def reduce_with_coeffs(self, vec) -> tuple[Vector, dict]:
         coeffs: dict = {}
-        red = self._reduce([_as_fraction(x) for x in vec], coeffs)
-        return tuple(red), coeffs
+        num, scale = self._reduce(vec, coeffs)
+        return self._dense(num, scale), coeffs
 
     def add(self, vec, label=None) -> Vector | None:
         """Reduce vec against the accumulated rows; if independent, insert
-        it (monic) and return the inserted row, else return None."""
-        red = self._reduce([_as_fraction(x) for x in vec])
-        pivot = next((j for j, x in enumerate(red) if x), None)
-        if pivot is None:
+        it and return the inserted row made monic, else return None."""
+        num, _ = self._reduce(vec)
+        if not num:
             return None
-        lead = red[pivot]
-        if lead != 1:
-            red = [x / lead for x in red]
+        pivot = min(num)
         pos = 0
         while pos < len(self._pivots) and self._pivots[pos] < pivot:
             pos += 1
-        self._rows.insert(pos, red)
+        self._rows.insert(pos, num)
         self._pivots.insert(pos, pivot)
         self._labels.insert(pos, label)
-        return tuple(red)
+        return self._dense(num, Fraction(1, num[pivot]))

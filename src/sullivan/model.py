@@ -79,12 +79,6 @@ class SullivanModel:
     def d(self, p: Polynomial) -> Polynomial:
         return apply_derivation(self.generators, self.differential, p)
 
-    def generator_named(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(name)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SullivanModel)

@@ -49,9 +49,6 @@ class LesData:
     dims: dict[NodeKey, int]
     maps: dict[tuple[str, int, int | None], LesMap]  # keyed by (kind, source i, source k)
 
-    def map_from(self, kind: str, i: int, k: int | None) -> LesMap | None:
-        return self.maps.get((kind, i, k))
-
     def dim(self, key: NodeKey) -> int:
         return self.dims.get(key, 0)
 

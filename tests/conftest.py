@@ -82,6 +82,14 @@ def random_polynomial(rng: random.Random, gens, n_terms: int = 3, homogeneous=Fa
     return {m: c for m, c in terms.items() if c}
 
 
+def poly_scale(p, c):
+    """c * p, with no zero coefficients stored."""
+    from fractions import Fraction
+
+    c = Fraction(c)
+    return {m: v * c for m, v in p.items()} if c else {}
+
+
 def model_pool():
     """Validated models whose algebras host the property suites."""
     return [

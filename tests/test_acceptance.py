@@ -17,7 +17,6 @@ from sullivan.algebra import (
     multiply,
     poly_add,
     poly_degree,
-    poly_scale,
 )
 from sullivan.cohomology import engine_for, bigraded_profile, cohomology_table
 from sullivan.library import get_model, library
@@ -35,7 +34,7 @@ from sullivan.toomer import (
     toomer_of_class,
     toomer_via_fundamental_class,
 )
-from conftest import model_pool, random_polynomial
+from conftest import model_pool, poly_scale, random_polynomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

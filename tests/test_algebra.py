@@ -12,11 +12,10 @@ from sullivan.algebra import (
     multiply,
     poly_add,
     poly_degree,
-    poly_scale,
     poly_str,
     word_length,
 )
-from conftest import model_pool, random_polynomial
+from conftest import model_pool, poly_scale, random_polynomial
 
 
 def gens_of(*specs):
@@ -243,3 +242,75 @@ def test_d_squared_zero_random():
         for _ in range(60):
             p = random_polynomial(rng, gens)
             assert apply_derivation(gens, d, apply_derivation(gens, d, p)) == {}
+
+
+# -- cross-check: the closed-form Leibniz rule against the recursive one --
+
+
+def _recursive_derive_monomial(gens, deriv, m):
+    """Reference Leibniz expansion: peel v^e off the front of m,
+    D(m) = D(v^e) rest + (-1)^(shift*e*|v|) v^e D(rest), with every product
+    sorted by `multiply`."""
+    support = [i for i, e in enumerate(m) if e]
+    if not support:
+        return {}
+    i = support[0]
+    e = m[i]
+    rest = tuple(0 if j == i else x for j, x in enumerate(m))
+    head_only = tuple(e if j == i else 0 for j in range(len(m)))
+    out = {}
+    dv = deriv.value_on(i)
+    if dv:
+        head_less = tuple(e - 1 if j == i else 0 for j in range(len(m)))
+        lead = multiply(gens, multiply(gens, {head_less: Fraction(e)}, dv), {rest: Fraction(1)})
+        out = poly_add(out, lead)
+    if any(rest):
+        tail = _recursive_derive_monomial(gens, deriv, rest)
+        if tail:
+            sign = -1 if (deriv.degree_shift * e * gens[i].degree) % 2 else 1
+            out = poly_add(out, multiply(gens, {head_only: Fraction(sign)}, tail))
+    return out
+
+
+def _recursive_apply(gens, deriv, p):
+    out = {}
+    for m, c in p.items():
+        out = poly_add(out, {k: c * v for k, v in _recursive_derive_monomial(gens, deriv, m).items()})
+    return out
+
+
+def _random_derivation(rng, gens):
+    """Values on every generator are random polynomials of any degree
+    (not triangular, not homogeneous), with rational coefficients; the
+    shift is odd or even, negative ones included (the Wang theta)."""
+    shift = rng.choice((1, 1, -1, -2, -3, 0, 2))
+    values = []
+    for _ in gens:
+        if rng.random() < 0.2:
+            values.append({})
+        else:
+            values.append(random_polynomial(rng, gens, n_terms=rng.randint(1, 4)))
+    return Derivation(shift, tuple(values))
+
+
+def test_closed_form_leibniz_matches_recursive_reference():
+    rng = random.Random(127)
+    odd_squares = 0
+    for _ in range(600):
+        specs = [(f"g{j}", rng.choice((1, 2, 3, 3, 4, 5))) for j in range(rng.randint(1, 6))]
+        gens = gens_of(*specs)
+        deriv = _random_derivation(rng, gens)
+        p = random_polynomial(rng, gens, n_terms=rng.randint(1, 4))
+        got = apply_derivation(gens, deriv, p)
+        assert got == _recursive_apply(gens, deriv, p), (specs, deriv, p)
+        # count the terms the odd-square rule dropped: a value sharing an
+        # odd generator with the rest of its monomial
+        for m in p:
+            for i, e in enumerate(m):
+                if e:
+                    rest = tuple(x - (j == i) for j, x in enumerate(m))
+                    odd_squares += any(
+                        rest[j] and u[j] and gens[j].degree % 2
+                        for u in deriv.values[i] for j in range(len(m))
+                    )
+    assert odd_squares > 100

@@ -219,3 +219,13 @@ def test_exit_code_contract_documented():
     assert cli.EXIT_VALIDATION == 3
     assert cli.EXIT_VERDICT == 4
     assert cli.EXIT_INTERNAL == 5
+
+
+def test_unknown_model_message_is_not_quoted(capsys):
+    # the message is printed as written, not as the repr of a KeyError
+    assert main(["toomer", "--lib", "cp:0"]) == 3
+    assert capsys.readouterr().out.strip() == "error: cp:0: n must be >= 1"
+    assert main(["toomer", "--lib", "mixed:9"]) == 3
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("error: unknown library model 'mixed:9'; available: ")
+    assert not out.endswith(('"', "'"))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,6 @@ from sullivan.linalg import (
     RatMatrix,
     kernel_basis,
     matmul,
-    quotient_dimension,
     rank,
     solve_membership,
 )
@@ -17,6 +17,17 @@ from sullivan.linalg import (
 
 def F(x):
     return Fraction(x)
+
+
+def quotient_dimension(ambient_dim, subspace):
+    """dim(ambient / span(subspace))."""
+    vectors = [tuple(v) for v in subspace]
+    for v in vectors:
+        if len(v) != ambient_dim:
+            raise DimensionMismatchError("subspace vector length != ambient dimension")
+    if not vectors:
+        return ambient_dim
+    return ambient_dim - rank(RatMatrix.from_rows(vectors))
 
 
 def test_rank_identity():
@@ -170,23 +181,6 @@ def test_matmul_against_apply():
             assert prod.column(c) == a.apply(b.column(c))
 
 
-def test_sparse_and_dense_elimination_agree():
-    # below/above the 50% fill-in threshold the two paths must agree
-    from sullivan.linalg import _rref, _rref_dense
-
-    rng = random.Random(29)
-    for _ in range(120):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        for density in (0.15, 0.45, 0.9):
-            m = _random_matrix(rng, rows, cols, density)
-            dense_rows, dense_pivots = _rref_dense(m._row_lists(), m.cols, [], 0, 0)
-            unified_rows, unified_pivots = _rref(m)
-            assert unified_pivots == dense_pivots
-            assert unified_rows == dense_rows
-            for v in kernel_basis(m):
-                assert all(x == 0 for x in m.apply(v))
-
-
 def test_echelon_membership_and_coords():
     ech = Echelon(3)
     ech.add((1, 1, 0))
@@ -205,3 +199,173 @@ def test_echelon_clone_is_independent():
     dup = ech.clone()
     dup.add((0, 1))
     assert ech.rank == 1 and dup.rank == 2
+
+
+# -- cross-checks: the integer kernels against Fraction references --------
+
+
+def _fraction_rref(m):
+    """Reference: dense Fraction Gauss-Jordan with the same pivoting
+    (first row in current order with a nonzero entry in the column)."""
+    rows = [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    pivots = []
+    piv_r = 0
+    for c in range(m.cols):
+        sel = next((r for r in range(piv_r, m.rows) if rows[r][c]), None)
+        if sel is None:
+            continue
+        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+        pv = rows[piv_r][c]
+        rows[piv_r] = [x / pv for x in rows[piv_r]]
+        for r in range(m.rows):
+            f = rows[r][c]
+            if r != piv_r and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv_r])]
+        pivots.append(c)
+        piv_r += 1
+        if piv_r == m.rows:
+            break
+    return rows, pivots
+
+
+def _fraction_kernel_basis(m):
+    rows, pivots = _fraction_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][f]
+        mult = 1
+        for x in v:
+            mult = mult * x.denominator // gcd(mult, x.denominator)
+        ints = [x * mult for x in v]
+        g = 0
+        for x in ints:
+            g = gcd(g, x.numerator)
+        basis.append(tuple(x / g for x in ints))
+    return basis
+
+
+def _rational_matrix(rng, rows, cols, density):
+    """Random rational matrix whose later rows are often combinations of
+    earlier ones."""
+    m = _random_matrix(rng, rows, cols, density)
+    data = [[m.entry(r, c) for c in range(cols)] for r in range(rows)]
+    for r in range(1, rows):
+        if rng.random() < 0.4:
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2))
+            src = data[rng.randrange(r)]
+            other = data[rng.randrange(r)]
+            data[r] = [a * x + b * y for x, y in zip(src, other)]
+    return RatMatrix.from_rows(data)
+
+
+def test_integer_elimination_matches_fraction_gauss_jordan():
+    from sullivan.linalg import _rref
+
+    rng = random.Random(29)
+    ranks = set()
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        for density in (0.15, 0.45, 0.9):
+            m = _rational_matrix(rng, rows, cols, density)
+            ref_rows, ref_pivots = _fraction_rref(m)
+            int_rows, pivots = _rref(m)
+            assert pivots == ref_pivots
+            monic = [[Fraction(row.get(c, 0), row[pc]) for c in range(m.cols)]
+                     for row, pc in zip(int_rows, pivots)]
+            assert monic == ref_rows[: len(pivots)]
+            assert not any(any(row) for row in ref_rows[len(pivots):])
+            assert rank(m) == len(ref_pivots)
+            ranks.add((len(ref_pivots), m.rows))
+            assert kernel_basis(m) == _fraction_kernel_basis(m)
+            target = m.column(rng.randrange(m.cols)) if rng.random() < 0.5 else tuple(
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m.rows))
+            ref = _fraction_rref(RatMatrix(m.rows, m.cols + 1, {
+                **m._entries, **{(r, m.cols): x for r, x in enumerate(target) if x}}))
+            if m.cols in ref[1]:
+                assert solve_membership(m, target) is None
+            else:
+                coeffs = [Fraction(0)] * m.cols
+                for r, pc in enumerate(ref[1]):
+                    coeffs[pc] = ref[0][r][m.cols]
+                assert solve_membership(m, target) == tuple(coeffs)
+    # rank-deficient matrices were drawn
+    assert any(r < n for r, n in ranks)
+
+
+class _FractionEchelon:
+    """Reference: the incremental echelon kept as monic Fraction rows."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.rows, self.pivots, self.labels = [], [], []
+
+    def clone(self):
+        dup = _FractionEchelon(self.dim)
+        dup.rows = [r[:] for r in self.rows]
+        dup.pivots, dup.labels = self.pivots[:], self.labels[:]
+        return dup
+
+    def reduce(self, vec, coeffs=None):
+        vec = [Fraction(x) for x in vec]
+        for row, p, label in zip(self.rows, self.pivots, self.labels):
+            f = vec[p]
+            if f:
+                vec = [x - f * y for x, y in zip(vec, row)]
+                if coeffs is not None and label is not None:
+                    coeffs[label] = f
+        return vec
+
+    def add(self, vec, label=None):
+        red = self.reduce(vec)
+        pivot = next((j for j, x in enumerate(red) if x), None)
+        if pivot is None:
+            return None
+        red = [x / red[pivot] for x in red]
+        pos = sum(1 for p in self.pivots if p < pivot)
+        self.rows.insert(pos, red)
+        self.pivots.insert(pos, pivot)
+        self.labels.insert(pos, label)
+        return tuple(red)
+
+
+def test_integer_echelon_matches_fraction_echelon():
+    rng = random.Random(31)
+    labelled = 0
+    for _ in range(60):
+        dim = rng.randint(1, 9)
+        pairs = [(Echelon(dim), _FractionEchelon(dim))]
+        added = []
+        for step in range(rng.randint(5, 25)):
+            ech, ref = pairs[rng.randrange(len(pairs))]
+            if added and rng.random() < 0.4:
+                # a combination of earlier vectors plus, sometimes, noise
+                vec = [Fraction(0)] * dim
+                for old in rng.sample(added, min(len(added), 3)):
+                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    vec = [x + c * y for x, y in zip(vec, old)]
+                if rng.random() < 0.3:
+                    vec[rng.randrange(dim)] += Fraction(rng.randint(-5, 5), 7)
+            else:
+                vec = [Fraction(rng.choice((0, 0, 1, -1, 2, -3)), rng.choice((1, 1, 2, 3)))
+                       for _ in range(dim)]
+            op = rng.choice(("add", "add", "add", "residual", "contains", "coeffs", "clone"))
+            if op == "add":
+                label = step if rng.random() < 0.5 else None
+                labelled += label is not None
+                assert ech.add(vec, label=label) == ref.add(vec, label=label)
+                added.append(vec)
+            elif op == "residual":
+                assert ech.residual(vec) == tuple(ref.reduce(vec))
+            elif op == "contains":
+                assert ech.contains(vec) == (not any(ref.reduce(vec)))
+            elif op == "coeffs":
+                coeffs = {}
+                red = ref.reduce(vec, coeffs)
+                assert ech.reduce_with_coeffs(vec) == (tuple(red), coeffs)
+            else:
+                pairs.append((ech.clone(), ref.clone()))
+            assert ech.rank == len(ref.rows)
+    assert labelled > 100

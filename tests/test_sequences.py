@@ -15,6 +15,11 @@ from sullivan.sequences import (
 )
 
 
+def map_from(les, kind, i, k):
+    """The LES map of this kind out of node (i, k), or None."""
+    return les.maps.get((kind, i, k))
+
+
 def test_wang_trivial_quotient_forces_sphere_cohomology():
     # Lambda(u) with W = Lambda(): the sequence leaves H = Q + Q u
     m = get_model("sphere:3")
@@ -32,7 +37,7 @@ def test_wang_heisenberg_theta_star_maps_c_class_to_b_class():
     les = build_wang(m)
     assert check_exactness(les).all_exact
     # H^1_1(LW) has basis classes [e-order by monomial]: find theta* there
-    lmap = les.map_from("theta", 1, 1)
+    lmap = map_from(les, "theta", 1, 1)
     assert lmap is not None
     eng_w = engine_for(les.quotient)
     classes = eng_w.classes(1, 1)
@@ -80,7 +85,7 @@ def test_wang_eq4_isomorphism_nodes():
         m_top = eng_w.require_certificate().formal_dimension
         deg = les.x1_degree
         for k in range(0, (les.k_max or 0) + 1):
-            lmap = les.map_from("j", m_top, k)
+            lmap = map_from(les, "j", m_top, k)
             if lmap is None:
                 continue
             src = les.dim(("W", m_top, k))
@@ -100,11 +105,11 @@ def test_wang_short_exact_sequence_dimension_count():
         for i in range(les.i_max + 1):
             for k in range((les.k_max or 0) + 1):
                 v_dim = les.dim(("V", i, k))
-                into = les.map_from("theta", i - 1, k - 1 - (l - 2))
+                into = map_from(les, "theta", i - 1, k - 1 - (l - 2))
                 target_dim = les.dim(("W", i - deg, k - 1))
                 rank_into = rank(into.matrix) if into else 0
                 coker = target_dim - rank_into
-                out = les.map_from("theta", i, k)
+                out = map_from(les, "theta", i, k)
                 rank_out = rank(out.matrix) if out else 0
                 kernel = les.dim(("W", i, k)) - rank_out
                 assert v_dim == coker + kernel, (name, i, k)
@@ -121,7 +126,7 @@ def test_gysin_even_sphere_connecting_map():
     m = get_model("sphere:2")
     les = build_gysin(m)
     assert check_exactness(les).all_exact
-    lmap = les.map_from("partial", 3, 1)  # [y] in H^3_1(LW)
+    lmap = map_from(les, "partial", 3, 1)  # [y] in H^3_1(LW)
     assert lmap is not None and not lmap.matrix.is_zero()
 
 
@@ -137,7 +142,7 @@ def test_gysin_top_degree_isomorphism():
         eng_w = engine_for(les.quotient)
         m_top = eng_w.require_certificate().formal_dimension
         for k in range(0, (les.k_max or 0) + 1):
-            lmap = les.map_from("partial", m_top, k)
+            lmap = map_from(les, "partial", m_top, k)
             if lmap is None:
                 continue
             src = les.dim(("W", m_top, k))
