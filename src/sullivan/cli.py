@@ -10,6 +10,7 @@ failure, 5 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -55,7 +56,9 @@ def _jsonable(value):
     return value
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="sullivan",
         description="Exact cohomology, Toomer invariant and theorem checks "

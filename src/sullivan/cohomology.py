@@ -3,9 +3,9 @@ word-length bigraded H^i_k for homogeneous models, formal dimension,
 the exact ellipticity decision, fundamental class and the
 Poincare-duality pairing.
 
-All per-degree and per-(i,k) computations are memoized on a per-model
-engine; entries are pure and write-once, so concurrent recomputation is
-harmless.
+Bases, monomial differentials and the cohomology of each degree (or
+(i, k) strand) are memoized on a per-model engine; entries are pure and
+write-once, so concurrent recomputation is harmless.
 """
 
 from __future__ import annotations
@@ -101,16 +101,15 @@ class _DegreeCohomology:
     """H at one degree: canonical representatives and the echelon
     structure used to put arbitrary cocycles into class coordinates."""
 
-    __slots__ = ("degree", "basis", "index", "dim", "reps", "echelon", "boundary_rank")
+    __slots__ = ("degree", "basis", "index", "dim", "reps", "echelon")
 
-    def __init__(self, degree, basis, index, dim, reps, echelon, boundary_rank):
+    def __init__(self, degree, basis, index, dim, reps, echelon):
         self.degree = degree
         self.basis = basis
         self.index = index
         self.dim = dim
         self.reps = reps  # list of coordinate vectors, one per class
         self.echelon = echelon  # boundaries (unlabelled) + reps (labelled 0..dim-1)
-        self.boundary_rank = boundary_rank
 
     def coordinates(self, vec) -> Vector:
         residual, coeffs = self.echelon.reduce_with_coeffs(vec)
@@ -122,7 +121,7 @@ class _DegreeCohomology:
 
 
 class CohomologyEngine:
-    """Per-model memo of bases, differential matrices and cohomology."""
+    """Per-model memo of bases, monomial differentials and cohomology."""
 
     def __init__(self, model: SullivanModel):
         if not model.validated:
@@ -131,7 +130,6 @@ class CohomologyEngine:
         self.gens = model.generators
         self._basis: dict[int, list[Monomial]] = {}
         self._dmono: dict[Monomial, Polynomial] = {}
-        self._dmat: dict[tuple, RatMatrix] = {}
         self._full: dict[int, _DegreeCohomology] = {}
         self._strand: dict[tuple[int, int], _DegreeCohomology] = {}
         self._certificate: EllipticityCertificate | None = None
@@ -163,9 +161,6 @@ class CohomologyEngine:
     def d_matrix(self, i: int, k: int | None = None) -> RatMatrix:
         """Differential matrix out of degree i (word-length-k strand when
         k is given; homogeneous models only)."""
-        key = (i, k)
-        if key in self._dmat:
-            return self._dmat[key]
         if k is None:
             src = self.basis(i)
             dst = self.basis(i + 1)
@@ -177,9 +172,7 @@ class CohomologyEngine:
         for j, m in enumerate(src):
             for m2, c in self.d_mono(m).items():
                 entries[(dst_index[m2], j)] = c
-        mat = RatMatrix(len(dst), len(src), entries)
-        self._dmat[key] = mat
-        return mat
+        return RatMatrix(len(dst), len(src), entries)
 
     def _require_homogeneous(self):
         if not self._profile.is_homogeneous:
@@ -207,17 +200,16 @@ class CohomologyEngine:
                 dm = self.d_mono(m)
                 if dm:
                     ech.add(self.vectorize(dm, index))
-        boundary_rank = ech.rank
         reps = []
         for vec in kernel_basis(self.d_matrix(i, k)):
             row = ech.add(vec, label=len(reps))
             if row is not None:
                 reps.append(row)
-        return _DegreeCohomology(i, basis, index, len(reps), reps, ech, boundary_rank)
+        return _DegreeCohomology(i, basis, index, len(reps), reps, ech)
 
     def full(self, i: int) -> _DegreeCohomology:
         if i < 0:
-            return _DegreeCohomology(i, [], {}, 0, [], Echelon(0), 0)
+            return _DegreeCohomology(i, [], {}, 0, [], Echelon(0))
         got = self._full.get(i)
         if got is None:
             got = self._build(i, None)
@@ -227,7 +219,7 @@ class CohomologyEngine:
     def strand(self, i: int, k: int) -> _DegreeCohomology:
         self._require_homogeneous()
         if i < 0 or k < 0:
-            return _DegreeCohomology(i, [], {}, 0, [], Echelon(0), 0)
+            return _DegreeCohomology(i, [], {}, 0, [], Echelon(0))
         key = (i, k)
         got = self._strand.get(key)
         if got is None:

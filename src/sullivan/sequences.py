@@ -2,9 +2,21 @@
 
 Stripping the first generator x1 off a model gives a short exact
 sequence of cochain complexes whose long exact cohomology sequence is
-the Wang sequence (x1 odd, connecting map the derivation theta*) or the
-Gysin sequence (x1 even, connecting map the divide-by-x1 lift).  Nodes
-are materialized in degrees 0..i_max; above the formal dimensions every
+the Wang sequence (x1 odd) or the Gysin sequence (x1 even).  Both cycle
+through three maps, j, p and a connecting map, described once by
+`_cycle` as (name, source group, target group, degree shift, length
+shift), with V = Lambda V and W the quotient Lambda W:
+
+    j        W -> V  chi -> (-1)^i x1 chi  (Wang)      (|x1|, 1)
+             V -> V  chi -> x1 chi         (Gysin)
+    p        V -> W  drop the x1 terms                 (0, 0)
+    theta    W -> W  the derivation theta* (Wang)      (1 - |x1|, l - 2)
+    partial  W -> V  lift, d, divide by x1 (Gysin)     (1 - |x1|, l - 2)
+
+One loop builds every map from this table; exactness is checked where
+consecutive maps meet.  Only the table and the images of j and of the
+connecting map (`_image_functions`) depend on the sequence.  Nodes are
+materialized in degrees 0..i_max; above the formal dimensions every
 group vanishes for elliptic models, so exactness up to there is a
 complete verification.
 """
@@ -13,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra import Monomial, Polynomial, apply_derivation, multiply
+from .algebra import Polynomial, apply_derivation, multiply
 from .cohomology import InternalInvariantError, NotEllipticError, engine_for
 from .linalg import RatMatrix, matmul, rank, solve_membership
 from .model import (
@@ -88,12 +101,8 @@ class LesReport:
         return tuple(n for n in self.nodes if not n.exact)
 
 
-def _lift(m: Monomial) -> Monomial:
-    return (0,) + m
-
-
 def _lift_poly(p: Polynomial) -> Polynomial:
-    return {_lift(m): c for m, c in p.items()}
+    return {(0,) + m: c for m, c in p.items()}
 
 
 def _drop_x1(p: Polynomial) -> Polynomial:
@@ -112,7 +121,7 @@ def _divide_x1(p: Polynomial) -> Polynomial:
     return out
 
 
-def _classes_matrix(source_engine, src_i, src_k, images, target_engine, dst_i, dst_k) -> RatMatrix:
+def _classes_matrix(images, target_engine, dst_i, dst_k) -> RatMatrix:
     """Matrix whose column s is the target-class coordinates of images[s]."""
     dst = target_engine.full(dst_i) if dst_k is None else target_engine.strand(dst_i, dst_k)
     entries = {}
@@ -126,24 +135,57 @@ def _classes_matrix(source_engine, src_i, src_k, images, target_engine, dst_i, d
     return RatMatrix(dst.dim, len(images), entries)
 
 
-def _node_dims(engine, group, i_max, k_range):
-    dims = {}
-    label = "V" if group == "V" else "W"
-    for i in range(0, i_max + 1):
-        if k_range is None:
-            dims[(label, i, None)] = engine.betti(i)
-        else:
-            for k in k_range:
-                dims[(label, i, k)] = engine.strand(i, k).dim
-    return dims
-
-
 def _reps(engine, i, k):
     dc = engine.full(i) if k is None else engine.strand(i, k)
     out = []
     for vec in dc.reps:
         out.append({dc.basis[j]: c for j, c in enumerate(vec) if c})
     return out
+
+
+class _Arrow(NamedTuple):
+    """One of the three maps of the sequence, out of node (i, k) into
+    (i + shift, k + length_shift)."""
+    name: str
+    source: str  # group 'V' | 'W'
+    target: str
+    shift: int
+    length_shift: int
+
+
+def _cycle(kind: str, x1_degree: int, l: int) -> tuple[_Arrow, _Arrow, _Arrow]:
+    """The maps j, p and the connecting map, in the order the sequence
+    runs; each map's target group is the next one's source."""
+    if kind == "wang":
+        j_source, connecting, connecting_target = "W", "theta", "W"
+    else:
+        j_source, connecting, connecting_target = "V", "partial", "V"
+    return (
+        _Arrow("j", j_source, "V", x1_degree, 1),
+        _Arrow("p", "V", "W", 0, 0),
+        _Arrow(connecting, "W", connecting_target, 1 - x1_degree, l - 2),
+    )
+
+
+def _image_functions(kind: str, model: SullivanModel, quotient: SullivanModel):
+    """Map name -> f(representative, source degree i) = image cochain."""
+    gens = model.generators
+    x1_mono = (1,) + (0,) * (len(gens) - 1)
+    images = {"p": lambda chi, i: _drop_x1(chi)}
+    if kind == "wang":
+        theta = wang_derivation(model, gens[0])
+        images["j"] = lambda chi, i: multiply(
+            gens, {x1_mono: Fraction(-1 if i % 2 else 1)}, _lift_poly(chi))
+        images["theta"] = lambda chi, i: apply_derivation(quotient.generators, theta, chi)
+    else:
+        images["j"] = lambda chi, i: multiply(gens, {x1_mono: Fraction(1)}, chi)
+        # lift to Lambda V, apply d, divide by x1
+        images["partial"] = lambda chi, i: _divide_x1(model.d(_lift_poly(chi)))
+    return images
+
+
+def _lengths(k_max: int | None) -> list[int | None]:
+    return [None] if k_max is None else list(range(0, k_max + 1))
 
 
 def build_wang(model: SullivanModel, bigraded: bool | None = None,
@@ -190,80 +232,28 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
         max_len = max(eng_v.max_length(), eng_w.max_length())
     else:
         max_len = i_max // model.min_degree
-    if bigraded:
-        k_max = max_len + l
-        k_range = range(0, k_max + 1)
-    else:
-        k_max = None
-        k_range = None
+    k_max = max_len + l if bigraded else None
 
-    dims = {}
-    dims.update(_node_dims(eng_v, "V", i_max, k_range))
-    dims.update(_node_dims(eng_w, "W", i_max, k_range))
-
-    theta = wang_derivation(model, x1) if kind == "wang" else None
-    gens_v = model.generators
-    gens_w = quotient.generators
-    x1_mono = (1,) + (0,) * (len(gens_v) - 1)
-
+    engines = {"V": eng_v, "W": eng_w}
+    cycle = _cycle(kind, x1.degree, l)
+    images = _image_functions(kind, model, quotient)
+    dims: dict[NodeKey, int] = {}
     maps: dict[tuple[str, int, int | None], LesMap] = {}
-    ks: list[int | None] = list(k_range) if k_range is not None else [None]
-
     for i in range(0, i_max + 1):
-        for k in ks:
-            kj = None if k is None else k + 1
-            kth = None if k is None else k + l - 2
-            if kind == "wang":
-                # p: V(i,k) -> W(i,k)
-                reps_v = _reps(eng_v, i, k)
-                imgs = [_drop_x1(p) for p in reps_v]
-                maps[("p", i, k)] = LesMap(
-                    "p", ("V", i, k), ("W", i, k),
-                    _classes_matrix(eng_v, i, k, imgs, eng_w, i, k),
-                )
-                # j: W(i,k) -> V(i + |x1|, k+1), chi -> (-1)^i x1 chi
-                reps_w = _reps(eng_w, i, k)
-                sign = Fraction(-1 if i % 2 else 1)
-                imgs = [
-                    multiply(gens_v, {x1_mono: sign}, _lift_poly(p)) for p in reps_w
-                ]
-                ti = i + x1.degree
-                if ti <= i_max:
-                    maps[("j", i, k)] = LesMap(
-                        "j", ("W", i, k), ("V", ti, kj),
-                        _classes_matrix(eng_w, i, k, imgs, eng_v, ti, kj),
-                    )
-                # theta: W(i,k) -> W(i - (|x1|-1), k + l - 2)
-                imgs = [apply_derivation(gens_w, theta, p) for p in reps_w]
-                maps[("theta", i, k)] = LesMap(
-                    "theta", ("W", i, k), ("W", i - (x1.degree - 1), kth),
-                    _classes_matrix(eng_w, i, k, imgs, eng_w, i - (x1.degree - 1), kth),
-                )
-            else:
-                # j: V(i,k) -> V(i + |x1|, k+1), chi -> x1 chi
-                reps_v = _reps(eng_v, i, k)
-                imgs = [multiply(gens_v, {x1_mono: Fraction(1)}, p) for p in reps_v]
-                ti = i + x1.degree
-                if ti <= i_max:
-                    maps[("j", i, k)] = LesMap(
-                        "j", ("V", i, k), ("V", ti, kj),
-                        _classes_matrix(eng_v, i, k, imgs, eng_v, ti, kj),
-                    )
-                # p: V(i,k) -> W(i,k)
-                imgs = [_drop_x1(p) for p in reps_v]
-                maps[("p", i, k)] = LesMap(
-                    "p", ("V", i, k), ("W", i, k),
-                    _classes_matrix(eng_v, i, k, imgs, eng_w, i, k),
-                )
-                # partial: W(i,k) -> V(i - |x1| + 1, k + l - 2): lift, d, divide
-                reps_w = _reps(eng_w, i, k)
-                imgs = []
-                for p in reps_w:
-                    dv = model.d(_lift_poly(p))
-                    imgs.append(_divide_x1(dv) if dv else {})
-                maps[("partial", i, k)] = LesMap(
-                    "partial", ("W", i, k), ("V", i - x1.degree + 1, kth),
-                    _classes_matrix(eng_w, i, k, imgs, eng_v, i - x1.degree + 1, kth),
+        for k in _lengths(k_max):
+            reps = {group: _reps(eng, i, k) for group, eng in engines.items()}
+            for group, group_reps in reps.items():
+                dims[(group, i, k)] = len(group_reps)
+            for arrow in cycle:
+                ti = i + arrow.shift
+                if ti > i_max:
+                    continue
+                tk = None if k is None else k + arrow.length_shift
+                image = images[arrow.name]
+                maps[(arrow.name, i, k)] = LesMap(
+                    arrow.name, (arrow.source, i, k), (arrow.target, ti, tk),
+                    _classes_matrix([image(chi, i) for chi in reps[arrow.source]],
+                                    engines[arrow.target], ti, tk),
                 )
 
     return LesData(
@@ -281,33 +271,20 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
 
 
 def _node_checks(les: LesData):
-    """Yield (node, role, incoming map key or None, outgoing map key or None).
+    """Yield (node, role, incoming map key, outgoing map key).
 
-    Every node of every chain of the LES family appears exactly once per
-    role; map keys are (kind, source i, source k)."""
-    deg = les.x1_degree
-    l = les.l
-    ks: list[int | None] = (
-        list(range(0, (les.k_max or 0) + 1)) if les.bigraded else [None]
-    )
+    The node between two consecutive maps of the cycle is the target of
+    the first and the source of the second; every node of every chain of
+    the LES family appears exactly once per role.  Map keys are
+    (kind, source i, source k)."""
+    cycle = _cycle(les.kind, les.x1_degree, les.l)
+    pairs = tuple(zip(cycle, cycle[1:] + cycle[:1]))
     for i in range(0, les.i_max + 1):
-        for k in ks:
-            km1 = None if k is None else k - 1
-            kml = None if k is None else k - (l - 2)
-            if les.kind == "wang":
-                # V(i,k): j in from W(i-deg, k-1); p out
-                yield (("V", i, k), "j->p", ("j", i - deg, km1), ("p", i, k))
-                # W(i,k) as p-target: p in from V(i,k); theta out
-                yield (("W", i, k), "p->theta", ("p", i, k), ("theta", i, k))
-                # W(i,k) as theta-target: theta in from W(i+deg-1, k-(l-2)); j out
-                yield (("W", i, k), "theta->j", ("theta", i + deg - 1, kml), ("j", i, k))
-            else:
-                # V(i,k) as j-target: j in from V(i-deg, k-1); p out
-                yield (("V", i, k), "j->p", ("j", i - deg, km1), ("p", i, k))
-                # W(i,k): p in from V(i,k); partial out
-                yield (("W", i, k), "p->partial", ("p", i, k), ("partial", i, k))
-                # V(i,k) as partial-target: partial in from W(i+deg-1, k-(l-2)); j out
-                yield (("V", i, k), "partial->j", ("partial", i + deg - 1, kml), ("j", i, k))
+        for k in _lengths(les.k_max):
+            for into, out in pairs:
+                in_k = None if k is None else k - into.length_shift
+                yield ((out.source, i, k), f"{into.name}->{out.name}",
+                       (into.name, i - into.shift, in_k), (out.name, i, k))
 
 
 def _position_label(les: LesData, node: NodeKey) -> str:
@@ -325,8 +302,8 @@ def check_exactness(les: LesData, node_filter=None) -> LesReport:
         dim = les.dim(node)
         if node_filter is not None and not node_filter(node):
             continue
-        in_map = les.maps.get(in_key) if in_key is not None else None
-        out_map = les.maps.get(out_key) if out_key is not None else None
+        in_map = les.maps.get(in_key)
+        out_map = les.maps.get(out_key)
         in_mat = in_map.matrix if in_map is not None else RatMatrix(dim, 0)
         out_mat = out_map.matrix if out_map is not None else RatMatrix(0, dim)
         if in_mat.rows != dim or out_mat.cols != dim:
@@ -356,13 +333,10 @@ def check_exactness(les: LesData, node_filter=None) -> LesReport:
                 witness=witness,
             )
         )
-    relation = None
     try:
-        n_total = engine_for(les.model).require_certificate().formal_dimension
-        m_quot = engine_for(les.quotient).require_certificate().formal_dimension
-        relation = _relation_verdict(les.x1_degree, n_total, m_quot)
+        relation = _dimension_relation(les.model, les.quotient)
     except NotEllipticError:
-        pass  # explicit i_max on a model that is not elliptic
+        relation = None  # explicit i_max on a model that is not elliptic
     return LesReport(
         kind=les.kind,
         bigraded=les.bigraded,
@@ -392,7 +366,7 @@ def corrupt_connecting_sign(les: LesData) -> LesData:
     matrix, inside a column with >= 2 nonzero entries (a plain rescaling
     of a basis vector would leave every kernel and image unchanged).
     Raises when no connecting column mixes classes."""
-    connecting = "theta" if les.kind == "wang" else "partial"
+    connecting = _cycle(les.kind, les.x1_degree, les.l)[2].name
     for key in sorted(les.maps, key=_map_sort_key):
         if key[0] != connecting:
             continue
@@ -407,9 +381,7 @@ def corrupt_connecting_sign(les: LesData) -> LesData:
                 }
                 entries[(r0, c)] = -entries[(r0, c)]
                 new_map = replace(lmap, matrix=RatMatrix(mat.rows, mat.cols, entries))
-                new_maps = dict(les.maps)
-                new_maps[key] = new_map
-                return replace_les(les, new_maps)
+                return replace(les, maps={**les.maps, key: new_map})
     raise ValueError(
         "no connecting-map column mixes two classes; sign corruption would be invisible"
     )
@@ -420,22 +392,11 @@ def _map_sort_key(key):
     return (kind, i, -1 if k is None else k)
 
 
-def replace_les(les: LesData, maps) -> LesData:
-    return LesData(
-        kind=les.kind,
-        bigraded=les.bigraded,
-        model=les.model,
-        quotient=les.quotient,
-        x1_degree=les.x1_degree,
-        l=les.l,
-        i_max=les.i_max,
-        k_max=les.k_max,
-        dims=dict(les.dims),
-        maps=maps,
-    )
-
-
-def _relation_verdict(x1_degree: int, n_total: int, m_quot: int) -> DimensionRelationVerdict:
+def _dimension_relation(model: SullivanModel, quotient: SullivanModel) -> DimensionRelationVerdict:
+    """Raises NotEllipticError unless the model and its quotient certify."""
+    x1_degree = model.generators[0].degree
+    n_total = engine_for(model).require_certificate().formal_dimension
+    m_quot = engine_for(quotient).require_certificate().formal_dimension
     if x1_degree % 2:
         return DimensionRelationVerdict(
             "odd", n_total, m_quot, m_quot + x1_degree, n_total == m_quot + x1_degree
@@ -449,7 +410,4 @@ def formal_dimension_relation(model: SullivanModel) -> DimensionRelationVerdict:
     x1 = model.generators[0]
     if model.d_of(0):
         raise QuotientError(f"d({x1.name}) != 0")
-    n_total = engine_for(model).require_certificate().formal_dimension
-    quotient = quotient_model(model, x1)
-    m_quot = engine_for(quotient).require_certificate().formal_dimension
-    return _relation_verdict(x1.degree, n_total, m_quot)
+    return _dimension_relation(model, quotient_model(model, x1))

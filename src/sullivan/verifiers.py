@@ -90,10 +90,10 @@ def verify_theorem2(model: SullivanModel) -> VerificationReport:
     b_ok = len(report.spectrum) == e + 1 and all(m > 0 for m in report.spectrum)
     if not b_ok:
         witnesses["B"] = f"spectrum {list(report.spectrum)} has a gap below e = {e}"
-    c_ok, c_witness = _condition_c(table, p, e)
-    if not c_ok:
+    c_witness = _condition_c(table, p, e)
+    if c_witness:
         witnesses["C"] = c_witness
-    verdict = PASS if (a_ok and b_ok and c_ok) else FAIL
+    verdict = PASS if (a_ok and b_ok and not c_witness) else FAIL
     return VerificationReport("theorem2", _model_id(model), verdict, witnesses, derived)
 
 
@@ -116,23 +116,13 @@ def _quotient_ladder(model: SullivanModel) -> dict:
     return {"f": table.e_top, "m_k": list(table.n_k), "M_k": list(table.N_k)}
 
 
-def _condition_c(table, p: int, e: int):
-    n_k, N_k = table.n_k, table.N_k
+def _condition_c(table, p: int, e: int) -> str | None:
+    """The first failure of Theorem 2 (C), both ladders, or None."""
     if e == 0:
-        return True, None
-    if len(n_k) <= e or any(v is None for v in n_k[: e + 1]):
-        return False, "some H_k vanishes, the ladder is undefined"
-    if n_k[1] != p:
-        return False, f"n_1 = {n_k[1]} != p = {p}"
-    for k in range(1, e):
-        if n_k[k + 1] < n_k[k] + p:
-            return False, f"n_{k + 1} = {n_k[k + 1]} < n_{k} + p = {n_k[k] + p}"
-    for k in range(0, e - 1):
-        if N_k[k + 1] < N_k[k] + p:
-            return False, f"N_{k + 1} = {N_k[k + 1]} < N_{k} + p = {N_k[k] + p}"
-    if N_k[e] != N_k[e - 1] + p:
-        return False, f"N_e = {N_k[e]} != N_(e-1) + p = {N_k[e - 1] + p}"
-    return True, None
+        return None
+    if len(table.n_k) <= e or any(v is None for v in table.n_k[: e + 1]):
+        return "some H_k vanishes, the ladder is undefined"
+    return _ladder_a(table.n_k, p, e) or _ladder_b(table.N_k, p, e)
 
 
 def verify_lemma1(model: SullivanModel) -> VerificationReport:
@@ -162,8 +152,8 @@ def verify_lemma1(model: SullivanModel) -> VerificationReport:
             witnesses[f"duality k={k}"] = (
                 f"n_{k} = {table.n_k[k]} != N - N_(e-{k}) = {n - table.N_k[e - k]}"
             )
-    cond_a = _lemma_condition_a(table, p, e)
-    cond_b = _lemma_condition_b(table, p, e)
+    cond_a = _ladder_a(table.n_k, p, e) is None
+    cond_b = _ladder_b(table.N_k, p, e) is None
     derived["condition_a"] = cond_a
     derived["condition_b"] = cond_b
     equiv_ok = cond_a == cond_b
@@ -173,22 +163,30 @@ def verify_lemma1(model: SullivanModel) -> VerificationReport:
     return VerificationReport("lemma1", _model_id(model), verdict, witnesses, derived)
 
 
-def _lemma_condition_a(table, p, e) -> bool:
-    n_k = table.n_k
+def _ladder_a(n_k, p: int, e: int) -> str | None:
+    """The first failure of n_1 = p and n_(k+1) >= n_k + p (k = 1..e-1),
+    or None."""
     if e == 0:
-        return True
+        return None
     if n_k[1] != p:
-        return False
-    return all(n_k[k + 1] >= n_k[k] + p for k in range(1, e))
+        return f"n_1 = {n_k[1]} != p = {p}"
+    for k in range(1, e):
+        if n_k[k + 1] < n_k[k] + p:
+            return f"n_{k + 1} = {n_k[k + 1]} < n_{k} + p = {n_k[k] + p}"
+    return None
 
 
-def _lemma_condition_b(table, p, e) -> bool:
-    N_k = table.N_k
+def _ladder_b(N_k, p: int, e: int) -> str | None:
+    """The first failure of N_(k+1) >= N_k + p (k = 0..e-2) and
+    N_e = N_(e-1) + p, or None."""
     if e == 0:
-        return True
-    if any(N_k[k + 1] < N_k[k] + p for k in range(0, e - 1)):
-        return False
-    return N_k[e] == N_k[e - 1] + p
+        return None
+    for k in range(0, e - 1):
+        if N_k[k + 1] < N_k[k] + p:
+            return f"N_{k + 1} = {N_k[k + 1]} < N_{k} + p = {N_k[k] + p}"
+    if N_k[e] != N_k[e - 1] + p:
+        return f"N_e = {N_k[e]} != N_(e-1) + p = {N_k[e - 1] + p}"
+    return None
 
 
 def odd_cocycle_kernel_dimension(model: SullivanModel) -> int:

@@ -3,9 +3,10 @@
 The fixture `fixtures/cli_golden.json` maps each command line to its exit
 code and the sha256 of its `--format json --no-timestamp` stdout.  The
 commands are every command on every library model (plus
-`cpl-sphere:8,4`) with a seeded gap scan, a two-model gap scan of three
-larger random shapes, and `wang`, `gysin` and `toomer` on two mixed-length
-models written below.  A change to the arithmetic must leave every
+`cpl-sphere:8,4`), `wang --ungraded` and `gysin --ungraded` on the same
+models, a seeded gap scan, a two-model gap scan of three larger random
+shapes, and `wang`, `gysin` and `toomer` on two mixed-length models
+written below.  A change to the arithmetic must leave every
 representative, witness and report as it was.
 
 Regenerate the fixture (only when an output change is intended, and say
@@ -58,6 +59,8 @@ def golden_commands() -> list[list[str]]:
     for name in names:
         for kind in LIBRARY_COMMANDS:
             cmds.append([kind] + (["all"] if kind == "verify" else []) + ["--lib", name])
+        for kind in ("wang", "gysin"):
+            cmds.append([kind, "--ungraded", "--lib", name])
     cmds.append(["gap-scan", "--count", "30", "--evens", "2", "--odds", "3",
                  "--length", "2", "--seed", "1"])
     for evens, odds, length in SCAN_SHAPES:

@@ -2,11 +2,26 @@ from fractions import Fraction
 
 import pytest
 
+from test_cli_golden import MIXED_MODELS
+
+from sullivan.algebra import apply_derivation, multiply
 from sullivan.cohomology import engine_for
-from sullivan.library import get_model
-from sullivan.linalg import rank
-from sullivan.model import QuotientError, make_model
+from sullivan.library import get_model, library
+from sullivan.linalg import RatMatrix, rank
+from sullivan.model import (
+    QuotientError,
+    RandomModelParams,
+    length_profile,
+    make_model,
+    quotient_model,
+    random_elliptic_model,
+    wang_derivation,
+)
+from sullivan.parser import parse_model
 from sullivan.sequences import (
+    LesData,
+    LesMap,
+    _node_checks,
     build_gysin,
     build_wang,
     check_exactness,
@@ -246,3 +261,177 @@ def test_formal_dimension_relations():
     rel = formal_dimension_relation(get_model("example-5gen"))
     assert rel.parity == "even" and rel.holds
     assert rel.n_total == 7 and rel.m_quotient == 8
+
+
+# -- cross-check against the two-branch construction ----------------------
+#
+# A test-only copy of the construction the three-map table replaced: one
+# hand-written branch per sequence for the maps and for the node checks.
+# The table must reproduce it map for map and node for node.
+
+
+def _reference_reps(engine, i, k):
+    dc = engine.full(i) if k is None else engine.strand(i, k)
+    return [{dc.basis[j]: c for j, c in enumerate(vec) if c} for vec in dc.reps]
+
+
+def _reference_classes_matrix(images, target_engine, dst_i, dst_k):
+    dst = target_engine.full(dst_i) if dst_k is None else target_engine.strand(dst_i, dst_k)
+    entries = {}
+    for s, img in enumerate(images):
+        if not img:
+            continue
+        coords = dst.coordinates(target_engine.vectorize(img, dst.index))
+        for r, v in enumerate(coords):
+            if v:
+                entries[(r, s)] = v
+    return RatMatrix(dst.dim, len(images), entries)
+
+
+def _reference_lift(p):
+    return {(0,) + m: c for m, c in p.items()}
+
+
+def _reference_drop_x1(p):
+    return {m[1:]: c for m, c in p.items() if m[0] == 0}
+
+
+def _reference_divide_x1(p):
+    assert all(m[0] >= 1 for m in p)
+    return {(m[0] - 1,) + m[1:]: c for m, c in p.items()}
+
+
+def reference_build(model, kind, bigraded=None):
+    """The two-branch construction of the maps and node dimensions."""
+    profile = length_profile(model)
+    if bigraded is None:
+        bigraded = profile.is_homogeneous
+    x1 = model.generators[0]
+    eng_v = engine_for(model)
+    quotient = quotient_model(model, x1)
+    eng_w = engine_for(quotient)
+    l = profile.l
+    i_max = (max(eng_v.require_certificate().formal_dimension,
+                 eng_w.require_certificate().formal_dimension) + x1.degree + 1)
+    max_len = max(eng_v.max_length(), eng_w.max_length())
+    k_max = max_len + l if bigraded else None
+    ks = list(range(0, k_max + 1)) if bigraded else [None]
+
+    dims = {}
+    for label, eng in (("V", eng_v), ("W", eng_w)):
+        for i in range(0, i_max + 1):
+            for k in ks:
+                dims[(label, i, k)] = eng.betti(i) if k is None else eng.strand(i, k).dim
+
+    theta = wang_derivation(model, x1) if kind == "wang" else None
+    gens_v = model.generators
+    gens_w = quotient.generators
+    x1_mono = (1,) + (0,) * (len(gens_v) - 1)
+    maps = {}
+    for i in range(0, i_max + 1):
+        for k in ks:
+            kj = None if k is None else k + 1
+            kth = None if k is None else k + l - 2
+            ti = i + x1.degree
+            reps_v = _reference_reps(eng_v, i, k)
+            reps_w = _reference_reps(eng_w, i, k)
+            maps[("p", i, k)] = LesMap(
+                "p", ("V", i, k), ("W", i, k),
+                _reference_classes_matrix([_reference_drop_x1(p) for p in reps_v],
+                                          eng_w, i, k),
+            )
+            if kind == "wang":
+                # j: W(i,k) -> V(i + |x1|, k+1), chi -> (-1)^i x1 chi
+                sign = Fraction(-1 if i % 2 else 1)
+                imgs = [multiply(gens_v, {x1_mono: sign}, _reference_lift(p)) for p in reps_w]
+                if ti <= i_max:
+                    maps[("j", i, k)] = LesMap(
+                        "j", ("W", i, k), ("V", ti, kj),
+                        _reference_classes_matrix(imgs, eng_v, ti, kj),
+                    )
+                # theta: W(i,k) -> W(i - (|x1|-1), k + l - 2)
+                imgs = [apply_derivation(gens_w, theta, p) for p in reps_w]
+                maps[("theta", i, k)] = LesMap(
+                    "theta", ("W", i, k), ("W", i - (x1.degree - 1), kth),
+                    _reference_classes_matrix(imgs, eng_w, i - (x1.degree - 1), kth),
+                )
+            else:
+                # j: V(i,k) -> V(i + |x1|, k+1), chi -> x1 chi
+                imgs = [multiply(gens_v, {x1_mono: Fraction(1)}, p) for p in reps_v]
+                if ti <= i_max:
+                    maps[("j", i, k)] = LesMap(
+                        "j", ("V", i, k), ("V", ti, kj),
+                        _reference_classes_matrix(imgs, eng_v, ti, kj),
+                    )
+                # partial: W(i,k) -> V(i - |x1| + 1, k + l - 2): lift, d, divide
+                imgs = []
+                for p in reps_w:
+                    dv = model.d(_reference_lift(p))
+                    imgs.append(_reference_divide_x1(dv) if dv else {})
+                maps[("partial", i, k)] = LesMap(
+                    "partial", ("W", i, k), ("V", i - x1.degree + 1, kth),
+                    _reference_classes_matrix(imgs, eng_v, i - x1.degree + 1, kth),
+                )
+    return LesData(kind=kind, bigraded=bigraded, model=model, quotient=quotient,
+                   x1_degree=x1.degree, l=l, i_max=i_max, k_max=k_max,
+                   dims=dims, maps=maps)
+
+
+def reference_node_checks(les):
+    """The two-branch walk over (node, role, incoming key, outgoing key)."""
+    deg = les.x1_degree
+    l = les.l
+    ks = list(range(0, (les.k_max or 0) + 1)) if les.bigraded else [None]
+    for i in range(0, les.i_max + 1):
+        for k in ks:
+            km1 = None if k is None else k - 1
+            kml = None if k is None else k - (l - 2)
+            if les.kind == "wang":
+                yield (("V", i, k), "j->p", ("j", i - deg, km1), ("p", i, k))
+                yield (("W", i, k), "p->theta", ("p", i, k), ("theta", i, k))
+                yield (("W", i, k), "theta->j", ("theta", i + deg - 1, kml), ("j", i, k))
+            else:
+                yield (("V", i, k), "j->p", ("j", i - deg, km1), ("p", i, k))
+                yield (("W", i, k), "p->partial", ("p", i, k), ("partial", i, k))
+                yield (("V", i, k), "partial->j", ("partial", i + deg - 1, kml), ("j", i, k))
+
+
+def _corrupted_report(les):
+    try:
+        return check_exactness(corrupt_connecting_sign(les))
+    except ValueError as err:  # no connecting column mixes classes
+        return str(err)
+
+
+def _cross_check_models():
+    models = list(library())
+    models += [random_elliptic_model(seed, RandomModelParams(
+        n_even=1 + seed % 2, n_odd=2, l=2, leading_odd_sphere=True)) for seed in range(6)]
+    models += [random_elliptic_model(seed, RandomModelParams(
+        n_even=1 + seed % 2, n_odd=2, l=3)) for seed in range(6)]
+    models += [parse_model(text, name=name) for name, text in MIXED_MODELS.items()]
+    return models
+
+
+def test_three_map_table_matches_two_branch_construction():
+    compared = 0
+    for model in _cross_check_models():
+        if model.d_of(0) or not engine_for(model).certify().ok:
+            continue
+        kind = "wang" if model.generators[0].is_odd else "gysin"
+        build = build_wang if kind == "wang" else build_gysin
+        for bigraded in (None, False):
+            if bigraded is None and not length_profile(model).is_homogeneous:
+                continue
+            got = build(model, bigraded=bigraded)
+            want = reference_build(model, kind, bigraded)
+            where = (model.name, kind, bigraded)
+            assert (got.bigraded, got.i_max, got.k_max) == (
+                want.bigraded, want.i_max, want.k_max), where
+            assert got.dims == want.dims, where
+            assert got.maps == want.maps, where
+            assert list(_node_checks(got)) == list(reference_node_checks(want)), where
+            assert check_exactness(got) == check_exactness(want), where
+            assert _corrupted_report(got) == _corrupted_report(want), where
+            compared += 1
+    assert compared >= 40
