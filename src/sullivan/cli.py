@@ -3,8 +3,9 @@
 Every report is built as a machine-readable tree first; the human
 rendering is derived from that tree, so no number exists only in prose.
 
-Exit codes: 0 pass, 2 usage, 3 validation failure, 4 theorem-verdict
-failure, 5 internal invariant breach.
+Exit codes: 0 pass, 2 usage (including an --out path that cannot be
+written), 3 validation failure, 4 theorem-verdict failure, 5 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -491,8 +492,12 @@ def main(argv=None) -> int:
         rendered = "\n".join(doc["rendering"])
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        except OSError as err:
+            print(f"error: cannot write --out {out}: {err.strerror}")
+            return EXIT_USAGE
     else:
         print(rendered)
     return code

@@ -6,6 +6,12 @@ Poincare-duality pairing.
 Bases, monomial differentials and the cohomology of each degree (or
 (i, k) strand) are memoized on a per-model engine; entries are pure and
 write-once, so concurrent recomputation is harmless.
+
+Cochains are polynomials keyed by monomial everywhere: boundaries,
+cocycles and representatives go into `Echelon` as sparse rows with the
+monomials as column keys.  Since `monomial_basis` lists monomials in
+ascending order, a row's smallest monomial is its pivot, the same one
+dense elimination over the basis would pick.
 """
 
 from __future__ import annotations
@@ -101,21 +107,23 @@ class _DegreeCohomology:
     """H at one degree: canonical representatives and the echelon
     structure used to put arbitrary cocycles into class coordinates."""
 
-    __slots__ = ("degree", "basis", "index", "dim", "reps", "echelon")
+    __slots__ = ("degree", "basis", "reps", "echelon")
 
-    def __init__(self, degree, basis, index, dim, reps, echelon):
+    def __init__(self, degree, basis, reps, echelon):
         self.degree = degree
-        self.basis = basis
-        self.index = index
-        self.dim = dim
-        self.reps = reps  # list of coordinate vectors, one per class
+        self.basis = basis  # cochain monomials, ascending
+        self.reps = reps  # representative cocycles, one polynomial per class
         self.echelon = echelon  # boundaries (unlabelled) + reps (labelled 0..dim-1)
 
-    def coordinates(self, vec) -> Vector:
-        residual, coeffs = self.echelon.reduce_with_coeffs(vec)
-        if any(residual):
+    @property
+    def dim(self) -> int:
+        return len(self.reps)
+
+    def coordinates(self, p: Polynomial) -> Vector:
+        residual, coeffs = self.echelon.reduce_with_coeffs(p)
+        if residual:
             raise InternalInvariantError(
-                f"vector in degree {self.degree} is not a cocycle modulo boundaries"
+                f"cochain in degree {self.degree} is not a cocycle modulo boundaries"
             )
         return tuple(coeffs.get(s, Fraction(0)) for s in range(self.dim))
 
@@ -152,12 +160,6 @@ class CohomologyEngine:
             self._dmono[m] = val
         return val
 
-    def vectorize(self, p: Polynomial, basis_index: dict) -> Vector:
-        vec = [Fraction(0)] * len(basis_index)
-        for m, c in p.items():
-            vec[basis_index[m]] = c
-        return tuple(vec)
-
     def d_matrix(self, i: int, k: int | None = None) -> RatMatrix:
         """Differential matrix out of degree i (word-length-k strand when
         k is given; homogeneous models only)."""
@@ -184,12 +186,8 @@ class CohomologyEngine:
     # -- cohomology -----------------------------------------------------
 
     def _build(self, i: int, k: int | None) -> _DegreeCohomology:
-        if k is None:
-            basis = self.basis(i)
-        else:
-            basis = self.strand_basis(i, k)
-        index = {m: r for r, m in enumerate(basis)}
-        ech = Echelon(len(basis))
+        basis = self.basis(i) if k is None else self.strand_basis(i, k)
+        ech = Echelon()
         if i >= 1:
             if k is None:
                 prev = self.basis(i - 1)
@@ -199,17 +197,18 @@ class CohomologyEngine:
             for m in prev:
                 dm = self.d_mono(m)
                 if dm:
-                    ech.add(self.vectorize(dm, index))
+                    ech.add(dm)
         reps = []
         for vec in kernel_basis(self.d_matrix(i, k)):
-            row = ech.add(vec, label=len(reps))
+            cocycle = {basis[j]: c for j, c in enumerate(vec) if c}
+            row = ech.add(cocycle, label=len(reps))
             if row is not None:
                 reps.append(row)
-        return _DegreeCohomology(i, basis, index, len(reps), reps, ech)
+        return _DegreeCohomology(i, basis, reps, ech)
 
     def full(self, i: int) -> _DegreeCohomology:
         if i < 0:
-            return _DegreeCohomology(i, [], {}, 0, [], Echelon(0))
+            return _DegreeCohomology(i, [], [], Echelon())
         got = self._full.get(i)
         if got is None:
             got = self._build(i, None)
@@ -219,7 +218,7 @@ class CohomologyEngine:
     def strand(self, i: int, k: int) -> _DegreeCohomology:
         self._require_homogeneous()
         if i < 0 or k < 0:
-            return _DegreeCohomology(i, [], {}, 0, [], Echelon(0))
+            return _DegreeCohomology(i, [], [], Echelon())
         key = (i, k)
         got = self._strand.get(key)
         if got is None:
@@ -227,24 +226,25 @@ class CohomologyEngine:
             self._strand[key] = got
         return got
 
+    def cohomology_at(self, i: int, k: int | None = None) -> _DegreeCohomology:
+        """H^i, or the strand H^i_k when k is given."""
+        return self.full(i) if k is None else self.strand(i, k)
+
     def classes(self, i: int, k: int | None = None) -> list[CohomologyClass]:
-        dc = self.full(i) if k is None else self.strand(i, k)
         out = []
-        for vec in dc.reps:
-            rep = {dc.basis[j]: c for j, c in enumerate(vec) if c}
+        for rep in self.cohomology_at(i, k).reps:
             lengths = {word_length(m) for m in rep}
             wl = k if k is not None else (lengths.pop() if len(lengths) == 1 else None)
             out.append(CohomologyClass(i, rep, wl))
         return out
 
     def betti(self, i: int, k: int | None = None) -> int:
-        return (self.full(i) if k is None else self.strand(i, k)).dim
+        return self.cohomology_at(i, k).dim
 
     def class_coordinates(self, i: int, p: Polynomial, k: int | None = None) -> Vector:
         """Coordinates of a cocycle's class in the canonical basis of
         H^i (or H^i_k)."""
-        dc = self.full(i) if k is None else self.strand(i, k)
-        return dc.coordinates(self.vectorize(p, dc.index))
+        return self.cohomology_at(i, k).coordinates(p)
 
     # -- ellipticity ----------------------------------------------------
 
@@ -369,7 +369,7 @@ class CohomologyEngine:
         for s, a in enumerate(left):
             for t, b in enumerate(right):
                 prod = multiply(self.gens, a.representative, b.representative)
-                coord = top.coordinates(self.vectorize(prod, top.index))
+                coord = top.coordinates(prod)
                 if coord[0]:
                     entries[(s, t)] = coord[0]
         mat = RatMatrix(len(left), len(right), entries)

@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals.
 
 `fractions.Fraction` is the coefficient type at the boundary: matrices
-hold Fraction entries and every vector handed out has Fraction entries.
+hold Fraction entries, vectors are Fraction tuples indexed by column,
+and `Echelon` takes and hands out sparse rows: mappings from totally
+ordered column keys (for cochains, the monomials themselves) to
+rationals.
 Inside, elimination is fraction-free: each row is scaled to a primitive
 integer row (denominators cleared, content divided out), rows are
 combined by cross-multiplication and made primitive again, and only the
@@ -14,6 +17,7 @@ form is unique, so the scaling never changes a result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -119,18 +123,19 @@ class RatMatrix:
         return [_primitive(row) for row in rows]
 
 
-def _primitive(row: dict) -> dict[int, int]:
+def _primitive(row: dict) -> dict:
     """The primitive integer row proportional to a sparse rational (or
-    integer) row: denominators cleared, content divided out."""
-    if not row:
-        return {}
+    integer) row: denominators cleared, zeros dropped, content divided
+    out."""
     den = lcm(*[v.denominator for v in row.values()])
-    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
+    if not ints:
+        return {}
     g = gcd(*ints.values())
     return {j: v // g for j, v in ints.items()} if g != 1 else ints
 
 
-def _combine(dst: dict[int, int], src: dict[int, int], col: int) -> tuple[dict[int, int], int, int]:
+def _combine(dst: dict, src: dict, col) -> tuple[dict, int, int]:
     """Cancel dst's entry at col with src: the primitive integer row
     (a*dst - b*src) / h, where b/a = dst[col]/src[col] in lowest terms
     with a > 0 and h is the content.  Returns (row, a, h); dst itself may
@@ -276,19 +281,21 @@ class Echelon:
     """Incremental row-echelon accumulator used for span membership,
     quotient bases and coordinate extraction.
 
-    Rows are stored as sparse primitive integer rows; the row handed out
-    by `add`, and the row every coefficient refers to, is the stored row
-    divided by its pivot (monic).  Each row can carry a label;
-    reduce_with_coeffs reports the coefficient used on every labelled
-    row, which is how cohomology classes get coordinates in a chosen basis.
+    A row is a sparse mapping from totally ordered column keys (for
+    cochains, monomials) to rationals; absent keys are zero and a row's
+    pivot is its smallest key.  Rows are stored as primitive integer rows;
+    the row handed out by `add`, and the row every coefficient refers to,
+    is the stored row divided by its pivot entry (monic).  Each row can
+    carry a label; reduce_with_coeffs reports the coefficient used on
+    every labelled row, which is how cohomology classes get coordinates
+    in a chosen basis.
     """
 
-    __slots__ = ("dim", "_rows", "_pivots", "_labels")
+    __slots__ = ("_rows", "_pivots", "_labels")
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._rows: list[dict[int, int]] = []
-        self._pivots: list[int] = []
+    def __init__(self):
+        self._rows: list[dict] = []
+        self._pivots: list = []
         self._labels: list[object] = []
 
     @property
@@ -297,18 +304,18 @@ class Echelon:
 
     def clone(self) -> "Echelon":
         # stored rows are never mutated, so the copy can share them
-        dup = Echelon(self.dim)
+        dup = Echelon()
         dup._rows = self._rows[:]
         dup._pivots = self._pivots[:]
         dup._labels = self._labels[:]
         return dup
 
-    def _reduce(self, vec, coeffs: dict | None = None) -> tuple[dict[int, int], Fraction]:
+    def _reduce(self, row, coeffs: dict | None = None) -> tuple[dict, Fraction]:
         """(num, scale) with num a primitive integer row and num * scale
-        the reduction of vec against the rows, taken in pivot order."""
-        row = {j: x for j, x in enumerate(vec) if x}
+        the reduction of row against the stored rows, taken in pivot
+        order."""
         num = _primitive(row)
-        lead = next(iter(row), None)
+        lead = next(iter(num), None)
         scale = ONE if lead is None else Fraction(row[lead], num[lead])
         for stored, p, label in zip(self._rows, self._pivots, self._labels):
             f = num.get(p)
@@ -322,34 +329,28 @@ class Echelon:
                     scale = scale * h / a
         return num, scale
 
-    def _dense(self, num: dict[int, int], scale: Fraction) -> Vector:
-        out = [ZERO] * self.dim
-        for j, x in num.items():
-            out[j] = scale * x
-        return tuple(out)
+    def residual(self, row) -> dict:
+        num, scale = self._reduce(row)
+        return {j: scale * x for j, x in num.items()}
 
-    def residual(self, vec) -> Vector:
-        return self._dense(*self._reduce(vec))
+    def contains(self, row) -> bool:
+        return not self._reduce(row)[0]
 
-    def contains(self, vec) -> bool:
-        return not self._reduce(vec)[0]
-
-    def reduce_with_coeffs(self, vec) -> tuple[Vector, dict]:
+    def reduce_with_coeffs(self, row) -> tuple[dict, dict]:
         coeffs: dict = {}
-        num, scale = self._reduce(vec, coeffs)
-        return self._dense(num, scale), coeffs
+        num, scale = self._reduce(row, coeffs)
+        return {j: scale * x for j, x in num.items()}, coeffs
 
-    def add(self, vec, label=None) -> Vector | None:
-        """Reduce vec against the accumulated rows; if independent, insert
-        it and return the inserted row made monic, else return None."""
-        num, _ = self._reduce(vec)
+    def add(self, row, label=None) -> dict | None:
+        """Reduce row against the stored rows; if independent, insert it
+        and return the inserted row made monic, else return None."""
+        num, _ = self._reduce(row)
         if not num:
             return None
         pivot = min(num)
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < pivot:
-            pos += 1
+        pos = bisect_left(self._pivots, pivot)
         self._rows.insert(pos, num)
         self._pivots.insert(pos, pivot)
         self._labels.insert(pos, label)
-        return self._dense(num, Fraction(1, num[pivot]))
+        p = num[pivot]
+        return {j: Fraction(x, p) for j, x in num.items()}

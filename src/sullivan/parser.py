@@ -107,7 +107,12 @@ class _TermParser:
         if tok is None:
             self.fail("empty term")
         if tok[0] == "number":
-            coeff = Fraction(tok[1])
+            try:
+                coeff = Fraction(tok[1])
+            except ZeroDivisionError:
+                raise ModelSyntaxError(
+                    self.line, tok[2], f"zero denominator in coefficient {tok[1]!r}"
+                ) from None
             self.take()
             nxt = self.peek()
             if nxt is None or nxt[1] in "+-":

@@ -123,24 +123,16 @@ def _divide_x1(p: Polynomial) -> Polynomial:
 
 def _classes_matrix(images, target_engine, dst_i, dst_k) -> RatMatrix:
     """Matrix whose column s is the target-class coordinates of images[s]."""
-    dst = target_engine.full(dst_i) if dst_k is None else target_engine.strand(dst_i, dst_k)
+    dst = target_engine.cohomology_at(dst_i, dst_k)
     entries = {}
     for s, img in enumerate(images):
         if not img:
             continue
-        coords = dst.coordinates(target_engine.vectorize(img, dst.index))
+        coords = dst.coordinates(img)
         for r, v in enumerate(coords):
             if v:
                 entries[(r, s)] = v
     return RatMatrix(dst.dim, len(images), entries)
-
-
-def _reps(engine, i, k):
-    dc = engine.full(i) if k is None else engine.strand(i, k)
-    out = []
-    for vec in dc.reps:
-        out.append({dc.basis[j]: c for j, c in enumerate(vec) if c})
-    return out
 
 
 class _Arrow(NamedTuple):
@@ -241,7 +233,7 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
     maps: dict[tuple[str, int, int | None], LesMap] = {}
     for i in range(0, i_max + 1):
         for k in _lengths(k_max):
-            reps = {group: _reps(eng, i, k) for group, eng in engines.items()}
+            reps = {group: eng.cohomology_at(i, k).reps for group, eng in engines.items()}
             for group, group_reps in reps.items():
                 dims[(group, i, k)] = len(group_reps)
             for arrow in cycle:

@@ -13,7 +13,6 @@ counts independent witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Polynomial, word_length
 from .cohomology import (
@@ -29,72 +28,48 @@ from .model import SullivanModel
 class QuotientComplex:
     """The DG quotient by monomials of word length > cutoff.
 
-    Bases are shared with the main engine's monomial enumerations; the
-    induced differential just deletes long terms (the ideal is d-stable
-    because d raises word length).
+    A cochain of the quotient is a polynomial with no term longer than
+    the cutoff; the projection p_n and the induced differential just
+    delete the long terms (the ideal is d-stable because d raises word
+    length).
     """
 
     def __init__(self, engine: CohomologyEngine, cutoff: int):
         self.engine = engine
         self.cutoff = cutoff
-        self._deg: dict[int, tuple] = {}
+        self._deg: dict[int, Echelon] = {}
 
-    def degree_data(self, i: int):
-        """(basis, index, boundary echelon) for one degree, cached."""
+    def project(self, p: Polynomial) -> Polynomial:
+        """p_n(p): the terms of word length <= cutoff."""
+        return {m: c for m, c in p.items() if word_length(m) <= self.cutoff}
+
+    def degree_data(self, i: int) -> Echelon:
+        """The echelon of the quotient's coboundaries in degree i, cached."""
         got = self._deg.get(i)
         if got is None:
-            basis = [m for m in self.engine.basis(i) if word_length(m) <= self.cutoff]
-            index = {m: r for r, m in enumerate(basis)}
-            ech = Echelon(len(basis))
+            got = Echelon()
             if i >= 1:
                 for m in self.engine.basis(i - 1):
-                    if word_length(m) > self.cutoff:
-                        continue
-                    vec = self._truncate(self.engine.d_mono(m), index)
-                    if any(vec):
-                        ech.add(vec)
-            got = (basis, index, ech)
+                    if word_length(m) <= self.cutoff:
+                        boundary = self.project(self.engine.d_mono(m))
+                        if boundary:
+                            got.add(boundary)
             self._deg[i] = got
         return got
 
-    def _truncate(self, p: Polynomial, index) -> list:
-        vec = [Fraction(0)] * len(index)
-        for m, c in p.items():
-            r = index.get(m)
-            if r is not None:
-                vec[r] = c
-        return vec
-
-    def d_matrix(self, i: int):
-        """Induced differential out of degree i (long terms deleted)."""
-        from .linalg import RatMatrix
-
-        basis, _, _ = self.degree_data(i)
-        _, index_next, _ = self.degree_data(i + 1)
-        entries = {}
-        for col, mono in enumerate(basis):
-            for m2, c in self.engine.d_mono(mono).items():
-                r = index_next.get(m2)
-                if r is not None:
-                    entries[(r, col)] = c
-        return RatMatrix(len(index_next), len(basis), entries)
-
     def projects_to_boundary(self, i: int, p: Polynomial) -> bool:
         """Is p_n(p) a coboundary (possibly zero) in the quotient?"""
-        _, index, ech = self.degree_data(i)
-        return ech.contains(self._truncate(p, index))
+        return self.degree_data(i).contains(self.project(p))
 
     def kernel_dim(self, i: int) -> int:
         """dim ker(p_n^* on H^i)."""
         dc = self.engine.full(i)
         if dc.dim == 0:
             return 0
-        _, index, ech = self.degree_data(i)
-        probe = ech.clone()
+        probe = self.degree_data(i).clone()
         surviving = 0
-        for vec in dc.reps:
-            rep = {dc.basis[j]: c for j, c in enumerate(vec) if c}
-            if probe.add(self._truncate(rep, index)) is not None:
+        for rep in dc.reps:
+            if probe.add(self.project(rep)) is not None:
                 surviving += 1
         return dc.dim - surviving
 
@@ -131,6 +106,11 @@ class ToomerFiltration:
 
     def total(self, cutoff: int) -> int:
         return sum(self.dim(i, cutoff) for i in range(1, self.formal_dimension + 1))
+
+    @property
+    def e0(self) -> int:
+        """Smallest n with every K_n = 0: each row ends at its first zero."""
+        return max((len(row) - 1 for row in self.dims), default=0)
 
 
 @dataclass(frozen=True)
@@ -177,21 +157,19 @@ def _degree_kernel_dims(engine: CohomologyEngine, i: int) -> list[int]:
     return dims
 
 
-def _filtration(model: SullivanModel) -> ToomerFiltration:
-    engine = engine_for(model)
-    cert = engine.require_certificate()
-    n_top = cert.formal_dimension
-    rows = [tuple(_degree_kernel_dims(engine, i)) for i in range(1, n_top + 1)]
-    return ToomerFiltration(tuple(rows), n_top)
+def _filtration(engine: CohomologyEngine) -> ToomerFiltration:
+    filt = getattr(engine, "_toomer_filtration", None)
+    if filt is None:
+        n_top = engine.require_certificate().formal_dimension
+        rows = [tuple(_degree_kernel_dims(engine, i)) for i in range(1, n_top + 1)]
+        filt = ToomerFiltration(tuple(rows), n_top)
+        engine._toomer_filtration = filt
+    return filt
 
 
 def toomer_of_algebra(model: SullivanModel) -> int:
     """Smallest n such that p_n^* is injective in every degree <= N."""
-    filt = _filtration(model)
-    e0 = 0
-    for row in filt.dims:
-        e0 = max(e0, len(row) - 1)  # row ends at the first zero
-    return e0
+    return _filtration(engine_for(model)).e0
 
 
 def toomer_via_fundamental_class(model: SullivanModel) -> int:
@@ -202,8 +180,8 @@ def toomer_via_fundamental_class(model: SullivanModel) -> int:
 def e0_spectrum(model: SullivanModel) -> ToomerReport:
     engine = engine_for(model)
     cert = engine.require_certificate()
-    filt = _filtration(model)
-    e0 = max((len(row) - 1 for row in filt.dims), default=0)
+    filt = _filtration(engine)
+    e0 = filt.e0
     spectrum = [1]  # mu_0: the unit class
     for k in range(1, e0 + 1):
         spectrum.append(filt.total(k - 1) - filt.total(k))

@@ -160,11 +160,17 @@ def test_window_flag_rejected(capsys):
     (["gap-scan", "--evens", "3", "--odds", "1"], 2),
     (["gap-scan", "--length", "1"], 2),
     (["gap-scan", "--count", "-1"], 2),
+    (["cohomology", "--model", "{zero_denominator}"], 3),
+    (["library", "--out", "{dir}/missing/report.txt"], 2),
+    (["cohomology", "--lib", "cp:2", "--format", "json", "--out", "{dir}"], 2),
 ])
 def test_bad_inputs_exit_with_one_line_message(tmp_path, capsys, argv, code):
     binary = tmp_path / "model.bin"
     binary.write_bytes(b"gen x 2\n\xff\xfe\x00")
-    argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+    zero_denominator = tmp_path / "zero.sul"
+    zero_denominator.write_text("gen x 2\ngen y 3\nd y = 1/0*x^2\n")
+    argv = [a.format(dir=tmp_path, binary=binary, zero_denominator=zero_denominator)
+            for a in argv]
     assert main(argv) == code
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1 and "error" in out

@@ -182,22 +182,30 @@ def test_matmul_against_apply():
 
 
 def test_echelon_membership_and_coords():
-    ech = Echelon(3)
-    ech.add((1, 1, 0))
-    ech.add((0, 0, 2), label="z")
+    ech = Echelon()
+    ech.add({0: 1, 1: 1})
+    ech.add({2: 2}, label="z")
     assert ech.rank == 2
-    assert ech.contains((2, 2, 6))
-    assert not ech.contains((1, 0, 0))
-    residual, coeffs = ech.reduce_with_coeffs((3, 3, 4))
-    assert not any(residual)
+    assert ech.contains({0: 2, 1: 2, 2: 6})
+    assert not ech.contains({0: 1})
+    residual, coeffs = ech.reduce_with_coeffs({0: 3, 1: 3, 2: 4})
+    assert not residual
     assert coeffs == {"z": Fraction(4)}
 
 
+def test_echelon_pivot_is_the_smallest_key():
+    # monomial keys: (0, 2) < (1, 0), whatever order the row lists them in
+    ech = Echelon()
+    assert ech.add({(1, 0): 4, (0, 2): 2}) == {(0, 2): 1, (1, 0): 2}
+    assert ech.residual({(1, 0): 1, (0, 2): 1}) == {(1, 0): Fraction(-1)}
+    assert ech.add({(0, 2): 0}) is None  # zero entries are absent entries
+
+
 def test_echelon_clone_is_independent():
-    ech = Echelon(2)
-    ech.add((1, 0))
+    ech = Echelon()
+    ech.add({0: 1})
     dup = ech.clone()
-    dup.add((0, 1))
+    dup.add({1: 1})
     assert ech.rank == 1 and dup.rank == 2
 
 
@@ -296,7 +304,8 @@ def test_integer_elimination_matches_fraction_gauss_jordan():
 
 
 class _FractionEchelon:
-    """Reference: the incremental echelon kept as monic Fraction rows."""
+    """Reference: the incremental echelon kept as dense monic Fraction
+    rows, indexed by column position."""
 
     def __init__(self, dim):
         self.dim = dim
@@ -336,7 +345,17 @@ def test_integer_echelon_matches_fraction_echelon():
     labelled = 0
     for _ in range(60):
         dim = rng.randint(1, 9)
-        pairs = [(Echelon(dim), _FractionEchelon(dim))]
+        # ascending monomial-like column keys; the sparse rows given to
+        # Echelon list every key, zero entries included
+        keys = sorted((j % 3, j // 3) for j in range(dim))
+
+        def row(vec):
+            return {keys[j]: x for j, x in enumerate(vec)}
+
+        def sparse(vec):
+            return {keys[j]: x for j, x in enumerate(vec) if x}
+
+        pairs = [(Echelon(), _FractionEchelon(dim))]
         added = []
         for step in range(rng.randint(5, 25)):
             ech, ref = pairs[rng.randrange(len(pairs))]
@@ -355,16 +374,18 @@ def test_integer_echelon_matches_fraction_echelon():
             if op == "add":
                 label = step if rng.random() < 0.5 else None
                 labelled += label is not None
-                assert ech.add(vec, label=label) == ref.add(vec, label=label)
+                want = ref.add(vec, label=label)
+                got = ech.add(row(vec), label=label)
+                assert got == (None if want is None else sparse(want))
                 added.append(vec)
             elif op == "residual":
-                assert ech.residual(vec) == tuple(ref.reduce(vec))
+                assert ech.residual(row(vec)) == sparse(ref.reduce(vec))
             elif op == "contains":
-                assert ech.contains(vec) == (not any(ref.reduce(vec)))
+                assert ech.contains(row(vec)) == (not any(ref.reduce(vec)))
             elif op == "coeffs":
                 coeffs = {}
                 red = ref.reduce(vec, coeffs)
-                assert ech.reduce_with_coeffs(vec) == (tuple(red), coeffs)
+                assert ech.reduce_with_coeffs(row(vec)) == (sparse(red), coeffs)
             else:
                 pairs.append((ech.clone(), ref.clone()))
             assert ech.rank == len(ref.rows)

@@ -213,15 +213,23 @@ def test_ungraded_wang_on_homogeneous_model_too():
     assert check_exactness(les).all_exact
 
 
+# simply connected, with theta*[b] = [a] + [c]: a theta column mixing two
+# classes, so a corrupted sign is visible
+THETA_MIXING_MODEL = "gen u 3\ngen a 3\ngen c 3\ngen b 5\nd b = u*a + u*c\n"
+
+
 def test_corrupted_theta_fails_exactness():
-    les = build_wang(get_model("nil4"))
-    assert check_exactness(les).all_exact
-    bad = corrupt_connecting_sign(les)
-    report = check_exactness(bad)
-    assert not report.all_exact
-    failure = report.failures[0]
-    assert failure.witness is not None
-    assert "LW" in failure.position
+    models = [get_model("nil4"), parse_model(THETA_MIXING_MODEL, name="theta-mixing")]
+    for model in models:
+        for bigraded in (None, False):
+            les = build_wang(model, bigraded=bigraded)
+            assert check_exactness(les).all_exact
+            bad = corrupt_connecting_sign(les)
+            report = check_exactness(bad)
+            assert not report.all_exact, (model.name, bigraded)
+            failure = report.failures[0]
+            assert failure.witness is not None
+            assert "LW" in failure.position
 
 
 def test_corruption_helper_refuses_invisible_flips():
@@ -271,8 +279,7 @@ def test_formal_dimension_relations():
 
 
 def _reference_reps(engine, i, k):
-    dc = engine.full(i) if k is None else engine.strand(i, k)
-    return [{dc.basis[j]: c for j, c in enumerate(vec) if c} for vec in dc.reps]
+    return [c.representative for c in engine.classes(i, k)]
 
 
 def _reference_classes_matrix(images, target_engine, dst_i, dst_k):
@@ -281,7 +288,7 @@ def _reference_classes_matrix(images, target_engine, dst_i, dst_k):
     for s, img in enumerate(images):
         if not img:
             continue
-        coords = dst.coordinates(target_engine.vectorize(img, dst.index))
+        coords = dst.coordinates(img)
         for r, v in enumerate(coords):
             if v:
                 entries[(r, s)] = v
@@ -410,6 +417,7 @@ def _cross_check_models():
     models += [random_elliptic_model(seed, RandomModelParams(
         n_even=1 + seed % 2, n_odd=2, l=3)) for seed in range(6)]
     models += [parse_model(text, name=name) for name, text in MIXED_MODELS.items()]
+    models.append(parse_model(THETA_MIXING_MODEL, name="theta-mixing"))
     return models
 
 
