@@ -4,8 +4,12 @@ the exact ellipticity decision, fundamental class and the
 Poincare-duality pairing.
 
 Bases, monomial differentials and the cohomology of each degree (or
-(i, k) strand) are memoized on a per-model engine; entries are pure and
-write-once, so concurrent recomputation is harmless.
+(i, k) strand) are memoized on a per-model engine.  Degrees are built
+upward, each by one `reduce_rows` pass over the images d(m) of its
+basis monomials in basis order: the relations among the images are the
+cocycles, and their span is the next degree's boundaries.  Each relation
+is the unique one between an image and the earlier independent images,
+so the cocycles are the reduced-echelon kernel basis of the differential.
 
 Cochains are polynomials keyed by monomial everywhere: boundaries,
 cocycles and representatives go into `Echelon` as sparse rows with the
@@ -27,8 +31,10 @@ from .algebra import (
     poly_str,
     word_length,
 )
-from .linalg import Echelon, RatMatrix, Vector, kernel_basis, rank
+from .linalg import Echelon, RatMatrix, Vector, rank, reduce_rows
 from .model import SullivanModel, length_profile
+
+_TAG = float("inf")  # a tag (_TAG, j) sorts after every monomial of integers
 
 
 class NotEllipticError(RuntimeError):
@@ -140,6 +146,8 @@ class CohomologyEngine:
         self._dmono: dict[Monomial, Polynomial] = {}
         self._full: dict[int, _DegreeCohomology] = {}
         self._strand: dict[tuple[int, int], _DegreeCohomology] = {}
+        # B^i (or B^i_k) left by the build below, until H^i is built
+        self._boundaries: dict[tuple[int, int | None], Echelon] = {}
         self._certificate: EllipticityCertificate | None = None
         self._profile = length_profile(model)
 
@@ -186,45 +194,50 @@ class CohomologyEngine:
     # -- cohomology -----------------------------------------------------
 
     def _build(self, i: int, k: int | None) -> _DegreeCohomology:
+        """H^i (or H^i_k) from one reduction of the images d(m), m in the
+        basis: its relations are the cocycles, and its span is the next
+        degree's boundaries, left in `_boundaries` for that build."""
         basis = self.basis(i) if k is None else self.strand_basis(i, k)
-        ech = Echelon()
-        if i >= 1:
-            if k is None:
-                prev = self.basis(i - 1)
-            else:
-                kk = k - (self._profile.l - 1)
-                prev = self.strand_basis(i - 1, kk) if kk >= 0 else []
-            for m in prev:
-                dm = self.d_mono(m)
-                if dm:
-                    ech.add(dm)
+        ech = self._boundaries.pop((i, k), None)
+        if ech is None:  # degree 0, or no strand below
+            ech = Echelon()
+        image, relations = reduce_rows(
+            [self.d_mono(m) for m in basis], [(_TAG, j) for j in range(len(basis))]
+        )
+        above = (i + 1, None if k is None else k + self._profile.l - 1)
+        self._boundaries[above] = image
         reps = []
-        for vec in kernel_basis(self.d_matrix(i, k)):
-            cocycle = {basis[j]: c for j, c in enumerate(vec) if c}
+        for rel in relations:
+            cocycle = {basis[j]: c for (_, j), c in rel.items()}
             row = ech.add(cocycle, label=len(reps))
             if row is not None:
                 reps.append(row)
         return _DegreeCohomology(i, basis, reps, ech)
 
+    def _build_up(self, memo: dict, i: int, k: int | None) -> _DegreeCohomology:
+        """Build degree i (strand (i, k)) and, lowest first, the missing
+        ones below it that d maps into it in turn, so that each build
+        takes its boundaries from the one below."""
+        chain = []
+        while i >= 0 and (k is None or k >= 0) and (i if k is None else (i, k)) not in memo:
+            chain.append((i, k))
+            i, k = i - 1, None if k is None else k - (self._profile.l - 1)
+        for i, k in reversed(chain):
+            got = memo[i if k is None else (i, k)] = self._build(i, k)
+        return got
+
     def full(self, i: int) -> _DegreeCohomology:
         if i < 0:
             return _DegreeCohomology(i, [], [], Echelon())
         got = self._full.get(i)
-        if got is None:
-            got = self._build(i, None)
-            self._full[i] = got
-        return got
+        return got if got is not None else self._build_up(self._full, i, None)
 
     def strand(self, i: int, k: int) -> _DegreeCohomology:
         self._require_homogeneous()
         if i < 0 or k < 0:
             return _DegreeCohomology(i, [], [], Echelon())
-        key = (i, k)
-        got = self._strand.get(key)
-        if got is None:
-            got = self._build(i, k)
-            self._strand[key] = got
-        return got
+        got = self._strand.get((i, k))
+        return got if got is not None else self._build_up(self._strand, i, k)
 
     def cohomology_at(self, i: int, k: int | None = None) -> _DegreeCohomology:
         """H^i, or the strand H^i_k when k is given."""
@@ -313,24 +326,17 @@ class CohomologyEngine:
             return bases[b]
 
         for n in range(n_form + 1, n_form + top + 1):
-            basis = basis_of(n)
-            index = {m: r for r, m in enumerate(basis)}
-            entries = {}
-            row = 0
-            for degree, rel in relations:
-                for mult in basis_of(n - degree):
-                    for m, c in rel.items():
-                        entries[(row, index[tuple(a + b for a, b in zip(mult, m))])] = c
-                    row += 1
-            outside = kernel_basis(RatMatrix(row, len(basis), entries))
-            if outside:
-                # kernel vectors come in echelon free-column order: the last
-                # nonzero entry of one marks a free column, a monomial that
-                # the ideal's span does not contain
-                j = max(r for r, c in enumerate(outside[0]) if c)
+            span, _ = reduce_rows([
+                {tuple(a + b for a, b in zip(mult, m)): c for m, c in rel.items()}
+                for degree, rel in relations for mult in basis_of(n - degree)
+            ])
+            pivots = set(span.pivots)
+            # a monomial that is no row's pivot is outside the ideal's span
+            outside = next((m for m in basis_of(n) if m not in pivots), None)
+            if outside is not None:
                 return (
                     f"Q[V^even]/(d_sigma V^odd) != 0 in degree {n} > N = {n_form}: "
-                    f"{poly_str(evens, {basis[j]: 1})} is outside the ideal"
+                    f"{poly_str(evens, {outside: 1})} is outside the ideal"
                 )
         return None
 

@@ -5,14 +5,19 @@ hold Fraction entries, vectors are Fraction tuples indexed by column,
 and `Echelon` takes and hands out sparse rows: mappings from totally
 ordered column keys (for cochains, the monomials themselves) to
 rationals.
+There is one elimination, `Echelon`'s: each row is reduced against the
+stored rows in pivot order, a row's pivot being its smallest key.
+`reduce_rows` runs it once over a sequence of rows and, with tags,
+also returns the relations among them; `rank`, `kernel_basis` and
+`solve_membership` are that reduction over a matrix's columns.
 Inside, elimination is fraction-free: each row is scaled to a primitive
 integer row (denominators cleared, content divided out), rows are
 combined by cross-multiplication and made primitive again, and only the
-final pivot rows are divided by their pivots.  No floating point and no
-modular arithmetic anywhere.  Elimination uses deterministic pivoting
-(first nonzero row in column order) so that every downstream basis,
-representative cocycle and report is reproducible; the reduced echelon
-form is unique, so the scaling never changes a result.
+rows handed out are divided by their pivots.  No floating point and no
+modular arithmetic anywhere.  Rows are reduced in the order given, so
+every downstream basis, representative cocycle and report is
+reproducible; relations and monic rows are unique, so the scaling never
+changes a result.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ class RatMatrix:
     """Immutable rational matrix with sparse entry storage.
 
     Entries are Fractions kept in a dict keyed by (row, col); zero entries
-    are never stored.  Elimination works on sparse primitive integer rows
-    built from them (see `_rref`).
+    are never stored.  Elimination reduces the columns as sparse rows
+    keyed by row index (see `reduce_rows`).
     """
 
     __slots__ = ("rows", "cols", "_entries")
@@ -64,30 +69,11 @@ class RatMatrix:
                     clean[(r, c)] = v
         self._entries = clean
 
-    @classmethod
-    def from_rows(cls, data) -> "RatMatrix":
-        data = [list(row) for row in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise DimensionMismatchError("ragged rows")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = _as_fraction(v)
-        return cls(rows, cols, entries)
-
     def entry(self, r: int, c: int) -> Fraction:
         return self._entries.get((r, c), ZERO)
 
     def column(self, c: int) -> Vector:
         return tuple(self._entries.get((r, c), ZERO) for r in range(self.rows))
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self._entries.items()}
-        )
 
     def apply(self, vec) -> Vector:
         """Matrix times column vector."""
@@ -115,12 +101,6 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, {len(self._entries)} entries)"
-
-    def _int_rows(self) -> list[dict[int, int]]:
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
-        for (r, c), v in self._entries.items():
-            rows[r][c] = v
-        return [_primitive(row) for row in rows]
 
 
 def _primitive(row: dict) -> dict:
@@ -158,71 +138,33 @@ def _combine(dst: dict, src: dict, col) -> tuple[dict, int, int]:
     return out, a, h
 
 
-def _rref(m: RatMatrix) -> tuple[list[dict[int, int]], list[int]]:
-    """Integer Gauss-Jordan elimination of m: (pivot rows, pivot columns).
-
-    Pivot row r is a sparse primitive integer row whose entry at
-    pivots[r] is its pivot; dividing it by that pivot gives row r of the
-    reduced row echelon form.  Every row starts primitive and stays
-    primitive after each cross-multiplication.  Pivot choice is the first
-    row in current order with a nonzero entry in the column.
-    """
-    if m.is_zero():
-        return [], []
-    rows = m._int_rows()
-    n_rows = len(rows)
-    pivots: list[int] = []
-    piv_r = 0
-    for c in range(m.cols):
-        if piv_r == n_rows:
-            break
-        sel = next((r for r in range(piv_r, n_rows) if c in rows[r]), None)
-        if sel is None:
-            continue
-        if sel != piv_r:
-            rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        src = rows[piv_r]
-        for r in range(n_rows):
-            if r != piv_r and c in rows[r]:
-                rows[r] = _combine(rows[r], src, c)[0]
-        pivots.append(c)
-        piv_r += 1
-    return rows[:piv_r], pivots
+def _columns(m: RatMatrix) -> list[dict[int, Fraction]]:
+    """The columns of m as sparse rows keyed by row index."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
+    for (r, c), v in m._entries.items():
+        cols[c][r] = v
+    return cols
 
 
 def rank(m: RatMatrix) -> int:
     """Rank over Q via exact elimination."""
-    return len(_rref(m)[1])
+    return reduce_rows(_columns(m))[0].rank
 
 
 def kernel_basis(m: RatMatrix) -> list[Vector]:
     """Basis of the null space of m.
 
-    Vectors come out in reduced-echelon free-variable order, scaled to
-    integer entries with content 1 (the free coordinate stays positive).
+    One vector per column that depends on the earlier columns, in column
+    order: the relation of `reduce_rows`, so its last nonzero entry is
+    that column's, positive, and the entries are integers with content 1.
+    This is the reduced-echelon free-variable basis.
     """
-    rows, pivots = _rref(m)
-    # the pivot-column entries of each free column's vector, -row[f]/row[pc]
-    by_free: dict[int, list[tuple[int, int, int]]] = {}
-    for row, pc in zip(rows, pivots):
-        p = row[pc]
-        for f, q in row.items():
-            if f != pc:
-                by_free.setdefault(f, []).append((pc, -q, p))
-    pivot_set = set(pivots)
+    _, relations = reduce_rows(_columns(m), range(m.rows, m.rows + m.cols))
     basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        # scaling by the lcm of the reduced denominators gives integers
-        # with content 1: a prime power dividing the lcm exactly divides
-        # some denominator, and so not that entry's scaled numerator
-        entries = by_free.get(f, ())
-        scale = lcm(*[p // gcd(q, p) for _, q, p in entries])
+    for rel in relations:
         v = [ZERO] * m.cols
-        v[f] = Fraction(scale)
-        for pc, q, p in entries:
-            v[pc] = Fraction(q * scale // p)
+        for t, c in rel.items():
+            v[t - m.rows] = Fraction(c)
         basis.append(tuple(v))
     return basis
 
@@ -230,7 +172,9 @@ def kernel_basis(m: RatMatrix) -> list[Vector]:
 def solve_membership(m: RatMatrix, v) -> Vector | None:
     """Coefficients expressing v in the column span of m, or None.
 
-    Raises DimensionMismatchError when len(v) != m.rows (never silently
+    The coefficients sit on the columns independent of the earlier ones,
+    where they are unique; every other coefficient is zero.  Raises
+    DimensionMismatchError when len(v) != m.rows (never silently
     truncates).
     """
     v = tuple(_as_fraction(x) for x in v)
@@ -238,20 +182,17 @@ def solve_membership(m: RatMatrix, v) -> Vector | None:
         raise DimensionMismatchError(
             f"vector length {len(v)} != row count {m.rows}"
         )
-    if m.cols == 0:
-        return () if all(x == 0 for x in v) else None
-    # eliminate the augmented system [m | v]
-    entries = dict(m._entries)
-    for r, x in enumerate(v):
-        if x:
-            entries[(r, m.cols)] = x
-    rows, pivots = _rref(RatMatrix(m.rows, m.cols + 1, entries))
-    if m.cols in pivots:
+    rows = _columns(m)
+    rows.append({r: x for r, x in enumerate(v) if x})
+    last = m.rows + m.cols
+    _, relations = reduce_rows(rows, range(m.rows, last + 1))
+    if not relations or last not in relations[-1]:
         return None
+    rel = relations[-1]
+    a = rel.pop(last)
     coeffs = [ZERO] * m.cols
-    for row, pc in zip(rows, pivots):
-        if m.cols in row:
-            coeffs[pc] = Fraction(row[m.cols], row[pc])
+    for t, c in rel.items():
+        coeffs[t - m.rows] = Fraction(-c, a)
     return tuple(coeffs)
 
 
@@ -302,6 +243,11 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self) -> list:
+        """The stored rows' pivots, ascending."""
+        return self._pivots
+
     def clone(self) -> "Echelon":
         # stored rows are never mutated, so the copy can share them
         dup = Echelon()
@@ -310,13 +256,13 @@ class Echelon:
         dup._labels = self._labels[:]
         return dup
 
-    def _reduce(self, row, coeffs: dict | None = None) -> tuple[dict, Fraction]:
-        """(num, scale) with num a primitive integer row and num * scale
-        the reduction of row against the stored rows, taken in pivot
-        order."""
-        num = _primitive(row)
-        lead = next(iter(num), None)
-        scale = ONE if lead is None else Fraction(row[lead], num[lead])
+    def _reduce(self, num: dict, scale: Fraction | None = None,
+                coeffs: dict | None = None) -> tuple[dict, Fraction | None]:
+        """Reduce the primitive integer row num against the stored rows,
+        taken in pivot order: (num', scale') with num' primitive.  When
+        num * scale is the row being reduced, num' * scale' is its exact
+        residual, and coeffs (which needs the scale) collects the
+        coefficient used on every labelled stored row."""
         for stored, p, label in zip(self._rows, self._pivots, self._labels):
             f = num.get(p)
             if f:
@@ -325,32 +271,80 @@ class Echelon:
                 num, a, h = _combine(num, stored, p)
                 if not num:
                     break
-                if a != 1 or h != 1:
+                if scale is not None and (a != 1 or h != 1):
                     scale = scale * h / a
         return num, scale
 
+    def _insert(self, num: dict, pivot, label=None) -> None:
+        pos = bisect_left(self._pivots, pivot)
+        self._rows.insert(pos, num)
+        self._pivots.insert(pos, pivot)
+        self._labels.insert(pos, label)
+
     def residual(self, row) -> dict:
-        num, scale = self._reduce(row)
+        num, scale = self._reduce(*_scaled(row))
         return {j: scale * x for j, x in num.items()}
 
     def contains(self, row) -> bool:
-        return not self._reduce(row)[0]
+        return not self._reduce(_primitive(row))[0]
 
     def reduce_with_coeffs(self, row) -> tuple[dict, dict]:
         coeffs: dict = {}
-        num, scale = self._reduce(row, coeffs)
+        num, scale = self._reduce(*_scaled(row), coeffs)
         return {j: scale * x for j, x in num.items()}, coeffs
 
     def add(self, row, label=None) -> dict | None:
         """Reduce row against the stored rows; if independent, insert it
         and return the inserted row made monic, else return None."""
-        num, _ = self._reduce(row)
+        num = self._reduce(_primitive(row))[0]
         if not num:
             return None
         pivot = min(num)
-        pos = bisect_left(self._pivots, pivot)
-        self._rows.insert(pos, num)
-        self._pivots.insert(pos, pivot)
-        self._labels.insert(pos, label)
+        self._insert(num, pivot, label)
         p = num[pivot]
         return {j: Fraction(x, p) for j, x in num.items()}
+
+
+def _scaled(row) -> tuple[dict, Fraction]:
+    """(num, scale): the primitive integer row num with num * scale = row."""
+    num = _primitive(row)
+    lead = next(iter(num), None)
+    return num, (ONE if lead is None else Fraction(row[lead], num[lead]))
+
+
+def reduce_rows(rows, tags=None) -> tuple[Echelon, list[dict]]:
+    """One pass of elimination over a sequence of sparse rows, in order:
+    (span, relations), span an unlabelled `Echelon` of the rows' span.
+
+    With tags (one key per row, ascending, each sorting after every key
+    of every row), row j enters as row_j + tags[j], so the tags of a
+    stored row record which combination of input rows it is.  A row whose
+    own keys cancel leaves only tags: the relation sum_t c_t row_t = 0,
+    returned as {tag: c_t} in integers with content 1 and c_j > 0.  Its
+    support is row j and earlier rows independent of their predecessors,
+    so it is unique: for a matrix's columns, the reduced-echelon kernel
+    vector of free column j.  The surviving rows are stored with their
+    tags stripped.  This is the column reduction of persistence
+    computations (Zomorodian-Carlsson 2005): one pass gives both the
+    cycles and the boundaries of a differential.
+    """
+    span = Echelon()
+    relations: list[dict] = []
+    for j, row in enumerate(rows):
+        if tags is not None:
+            row = {**row, tags[j]: 1}
+        num = span._reduce(_primitive(row))[0]
+        if not num:
+            continue
+        pivot = min(num)
+        if tags is None or pivot < tags[0]:
+            span._insert(num, pivot)
+        else:
+            if num[tags[j]] < 0:
+                num = {t: -c for t, c in num.items()}
+            relations.append(num)
+    if tags is not None and span.rank:
+        first = tags[0]
+        span._rows = [_primitive({x: c for x, c in row.items() if x < first})
+                      for row in span._rows]
+    return span, relations

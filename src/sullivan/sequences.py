@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .algebra import Polynomial, apply_derivation, multiply
 from .cohomology import InternalInvariantError, NotEllipticError, engine_for
-from .linalg import RatMatrix, matmul, rank, solve_membership
+from .linalg import RatMatrix, kernel_basis, matmul, rank, solve_membership
 from .model import (
     QuotientError,
     SullivanModel,
@@ -341,8 +341,6 @@ def check_exactness(les: LesData, node_filter=None) -> LesReport:
 def _exactness_witness(in_mat: RatMatrix, out_mat: RatMatrix):
     """A vector exhibiting the failure: in ker(out) but not im(in), or an
     image vector not killed by the outgoing map."""
-    from .linalg import kernel_basis
-
     for kvec in kernel_basis(out_mat):
         if solve_membership(in_mat, kvec) is None:
             return kvec

@@ -4,7 +4,7 @@ import pytest
 
 from sullivan.algebra import monomial_basis
 from sullivan.library import get_model, library
-from sullivan.model import RandomModelParams, length_profile, random_elliptic_model
+from sullivan.model import RandomModelParams, length_profile, make_model, random_elliptic_model
 
 # parameter shapes for the seeded random corpus; mixes sizes, lengths and
 # leading odd-sphere factors (so the Wang sequence gets random coverage)
@@ -30,6 +30,15 @@ def build_random_corpus(count: int, base_seed: int = 1000):
         params = CORPUS_SHAPES[idx % len(CORPUS_SHAPES)]
         models.append(random_elliptic_model(base_seed + idx, params))
     return models
+
+
+def pow_model(n: int, k: int):
+    """pow(n, k): generators x_i of degree 2 and y_i with d y_i = x_i^k,
+    i = 1..n; H = Q[x]/(x_1^k, ..., x_n^k) and N = 2n(k - 1)."""
+    gens = [(f"x{i}", 2) for i in range(1, n + 1)] + [(f"y{i}", 2 * k - 1) for i in range(1, n + 1)]
+    diffs = {f"y{i}": {tuple(k if j == i - 1 else 0 for j in range(2 * n)): 1}
+             for i in range(1, n + 1)}
+    return make_model(gens, diffs, name=f"pow({n},{k})")
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 from sullivan.cohomology import (
     NotEllipticError,
     NotHomogeneousError,
+    _DegreeCohomology,
     bigraded_cohomology,
     bigraded_profile,
     certify_elliptic,
@@ -20,7 +21,7 @@ from sullivan.cohomology import (
     pd_pairing,
 )
 from sullivan.library import get_model, library
-from sullivan.linalg import matmul
+from sullivan.linalg import Echelon, kernel_basis, matmul
 from sullivan.model import (
     RandomModelParams,
     length_profile,
@@ -28,6 +29,8 @@ from sullivan.model import (
     random_elliptic_model,
 )
 from sullivan.parser import parse_model
+
+from conftest import pow_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -327,8 +330,8 @@ def test_length_splitting_refines_betti():
             assert sum(table.h[i]) == engine.betti(i), f"{m.name} degree {i}"
 
 
-def test_poincare_duality_betti_symmetry():
-    for m in library():
+def test_poincare_duality_betti_symmetry(random_corpus):
+    for m in library() + random_corpus:
         engine = engine_for(m)
         n = engine.require_certificate().formal_dimension
         for i in range(n + 1):
@@ -406,3 +409,84 @@ def test_class_equality_is_coboundary_equivalence():
     c1 = {(1, 0, 0, 1, 0): Fraction(1), (0, 1, 1, 0, 0): Fraction(-1)}
     c2 = {(1, 0, 0, 0, 1): Fraction(1), (0, 1, 0, 1, 0): Fraction(-1)}
     assert not classes_equal(engine, 5, c1, c2)
+
+
+def reference_build(engine, i, k=None):
+    """H^i (or H^i_k) by the two eliminations the one-pass build replaced,
+    kept as a cross-check reference: Z^i from the kernel of the
+    differential matrix, B^i from an `Echelon` of the images of the degree
+    (or strand) below."""
+    basis = engine.basis(i) if k is None else engine.strand_basis(i, k)
+    ech = Echelon()
+    if i >= 1:
+        if k is None:
+            prev = engine.basis(i - 1)
+        else:
+            kk = k - (length_profile(engine.model).l - 1)
+            prev = engine.strand_basis(i - 1, kk) if kk >= 0 else []
+        for m in prev:
+            ech.add(engine.d_mono(m))
+    reps = []
+    for vec in kernel_basis(engine.d_matrix(i, k)):
+        row = ech.add({basis[j]: c for j, c in enumerate(vec) if c}, label=len(reps))
+        if row is not None:
+            reps.append(row)
+    return _DegreeCohomology(i, basis, reps, ech)
+
+
+def assert_same_cohomology(model, got, ref, where):
+    assert got.basis == ref.basis, where
+    assert got.reps == ref.reps, where
+    for rep in ref.reps:
+        assert not model.d(rep), where
+        assert got.coordinates(rep) == ref.coordinates(rep), where
+
+
+def test_one_pass_build_matches_two_eliminations(random_corpus):
+    """Reps, dims and class coordinates of the one-pass build agree with
+    the reference in every degree up to N + 1, and in every strand of the
+    homogeneous models."""
+    for m in library() + random_corpus + [pow_model(3, 3), pow_model(4, 3)]:
+        engine = engine_for(m)
+        n = engine.formal_dimension_formula()
+        for i in range(n + 2):
+            assert_same_cohomology(m, engine.full(i), reference_build(engine, i), (m.name, i))
+        if length_profile(m).is_homogeneous:
+            for i in range(n + 1):
+                for k in range(engine.max_length() + 1):
+                    assert_same_cohomology(
+                        m, engine.strand(i, k), reference_build(engine, i, k), (m.name, i, k))
+
+
+def poincare_series_betti(model, top):
+    """Betti numbers b_0..b_top of a positively elliptic pure model from its
+    Poincare series prod(1 - t^(|y_j| + 1)) / prod(1 - t^|x_i|) (Halperin
+    1977), in integer arithmetic."""
+    series = [1] + [0] * top
+    for y in model.odd_generators:
+        a = y.degree + 1
+        series = [c - (series[t - a] if t >= a else 0) for t, c in enumerate(series)]
+    for x in model.even_generators:
+        for t in range(x.degree, top + 1):
+            series[t] += series[t - x.degree]
+    return series
+
+
+def test_betti_numbers_match_poincare_series(random_corpus):
+    """Every b_i, N and dim H of the certified pure models with as many
+    even as odd generators against the oracle, which shares no code with
+    the engine."""
+    pure = [m for m in random_corpus
+            if len(m.even_generators) == len(m.odd_generators)
+            and not any(m.d_of(g.index) for g in m.even_generators)
+            and not any(mono[g.index] for y in m.odd_generators
+                        for mono in m.d_of(y.index) for g in m.odd_generators)]
+    assert len(pure) == 25
+    for m in pure + [pow_model(3, 3), pow_model(4, 3), pow_model(3, 4)]:
+        engine = engine_for(m)
+        n = sum(y.degree for y in m.odd_generators) - sum(x.degree - 1 for x in m.even_generators)
+        series = poincare_series_betti(m, 2 * n + 2)
+        assert series[n] == 1 and not any(series[n + 1:]), m.name
+        assert [engine.betti(i) for i in range(n + 1)] == series[: n + 1], m.name
+        assert engine.require_certificate().formal_dimension == n, m.name
+        assert engine.cohomology_table().total_dimension == sum(series), m.name

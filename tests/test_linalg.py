@@ -19,6 +19,16 @@ def F(x):
     return Fraction(x)
 
 
+def from_rows(data) -> RatMatrix:
+    """The matrix with the given dense rows."""
+    entries = {(r, c): Fraction(v) for r, row in enumerate(data) for c, v in enumerate(row) if v}
+    return RatMatrix(len(data), len(data[0]) if data else 0, entries)
+
+
+def transpose(m: RatMatrix) -> RatMatrix:
+    return RatMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m._entries.items()})
+
+
 def quotient_dimension(ambient_dim, subspace):
     """dim(ambient / span(subspace))."""
     vectors = [tuple(v) for v in subspace]
@@ -27,11 +37,11 @@ def quotient_dimension(ambient_dim, subspace):
             raise DimensionMismatchError("subspace vector length != ambient dimension")
     if not vectors:
         return ambient_dim
-    return ambient_dim - rank(RatMatrix.from_rows(vectors))
+    return ambient_dim - rank(from_rows(vectors))
 
 
 def test_rank_identity():
-    assert rank(RatMatrix.from_rows([[1, 0], [0, 1]])) == 2
+    assert rank(from_rows([[1, 0], [0, 1]])) == 2
 
 
 def test_rank_zero_matrix():
@@ -39,11 +49,11 @@ def test_rank_zero_matrix():
 
 
 def test_rank_dependent_rows():
-    assert rank(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank(from_rows([[1, 2], [2, 4]])) == 1
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(RatMatrix.from_rows([[1, 0], [0, 1]])) == []
+    assert kernel_basis(from_rows([[1, 0], [0, 1]])) == []
 
 
 def test_kernel_of_zero_matrix_is_standard_basis():
@@ -56,12 +66,12 @@ def test_kernel_of_zero_matrix_is_standard_basis():
 
 
 def test_kernel_single_relation():
-    basis = kernel_basis(RatMatrix.from_rows([[1, 1, 0]]))
+    basis = kernel_basis(from_rows([[1, 1, 0]]))
     assert basis == [(F(-1), F(1), F(0)), (F(0), F(0), F(1))]
 
 
 def test_kernel_vectors_are_integral_content_one():
-    m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]])
+    m = from_rows([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]])
     for v in kernel_basis(m):
         assert all(x.denominator == 1 for x in v)
         from math import gcd
@@ -73,7 +83,7 @@ def test_kernel_vectors_are_integral_content_one():
 
 
 def test_solve_membership_identity():
-    m = RatMatrix.from_rows([[1, 0], [0, 1]])
+    m = from_rows([[1, 0], [0, 1]])
     assert solve_membership(m, (3, 5)) == (F(3), F(5))
 
 
@@ -82,7 +92,7 @@ def test_solve_membership_not_in_span():
 
 
 def test_solve_membership_scaling():
-    m = RatMatrix.from_rows([[2], [4]])
+    m = from_rows([[2], [4]])
     assert solve_membership(m, (1, 2)) == (Fraction(1, 2),)
 
 
@@ -119,7 +129,7 @@ def test_rank_equals_rank_of_transpose():
     rng = random.Random(7)
     for _ in range(150):
         m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
 
 def test_kernel_vectors_annihilate():
@@ -213,8 +223,8 @@ def test_echelon_clone_is_independent():
 
 
 def _fraction_rref(m):
-    """Reference: dense Fraction Gauss-Jordan with the same pivoting
-    (first row in current order with a nonzero entry in the column)."""
+    """Reference: dense Fraction Gauss-Jordan, pivoting on the first row
+    in current order with a nonzero entry in the column."""
     rows = [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
     pivots = []
     piv_r = 0
@@ -266,39 +276,45 @@ def _rational_matrix(rng, rows, cols, density):
             src = data[rng.randrange(r)]
             other = data[rng.randrange(r)]
             data[r] = [a * x + b * y for x, y in zip(src, other)]
-    return RatMatrix.from_rows(data)
+    return from_rows(data)
 
 
-def test_integer_elimination_matches_fraction_gauss_jordan():
-    from sullivan.linalg import _rref
-
-    rng = random.Random(29)
-    ranks = set()
+def _elimination_inputs(rng):
     for _ in range(150):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         for density in (0.15, 0.45, 0.9):
-            m = _rational_matrix(rng, rows, cols, density)
-            ref_rows, ref_pivots = _fraction_rref(m)
-            int_rows, pivots = _rref(m)
-            assert pivots == ref_pivots
-            monic = [[Fraction(row.get(c, 0), row[pc]) for c in range(m.cols)]
-                     for row, pc in zip(int_rows, pivots)]
-            assert monic == ref_rows[: len(pivots)]
-            assert not any(any(row) for row in ref_rows[len(pivots):])
-            assert rank(m) == len(ref_pivots)
-            ranks.add((len(ref_pivots), m.rows))
-            assert kernel_basis(m) == _fraction_kernel_basis(m)
-            target = m.column(rng.randrange(m.cols)) if rng.random() < 0.5 else tuple(
+            yield _rational_matrix(rng, rows, cols, density)
+    # no rows, no columns, and some columns entirely zero
+    yield from (RatMatrix(0, 0), RatMatrix(0, 4), RatMatrix(3, 0))
+    for _ in range(30):
+        m = _rational_matrix(rng, rng.randint(1, 6), rng.randint(2, 7), 0.6)
+        zero = set(rng.sample(range(m.cols), rng.randint(1, m.cols - 1)))
+        yield RatMatrix(m.rows, m.cols, {
+            (r, c): v for (r, c), v in m._entries.items() if c not in zero})
+
+
+def test_integer_elimination_matches_fraction_gauss_jordan():
+    rng = random.Random(29)
+    ranks = set()
+    for m in _elimination_inputs(rng):
+        ref_pivots = _fraction_rref(m)[1]
+        assert rank(m) == len(ref_pivots)
+        ranks.add((len(ref_pivots), m.rows))
+        assert kernel_basis(m) == _fraction_kernel_basis(m)
+        if m.cols and rng.random() < 0.5:
+            target = m.column(rng.randrange(m.cols))
+        else:
+            target = tuple(
                 Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m.rows))
-            ref = _fraction_rref(RatMatrix(m.rows, m.cols + 1, {
-                **m._entries, **{(r, m.cols): x for r, x in enumerate(target) if x}}))
-            if m.cols in ref[1]:
-                assert solve_membership(m, target) is None
-            else:
-                coeffs = [Fraction(0)] * m.cols
-                for r, pc in enumerate(ref[1]):
-                    coeffs[pc] = ref[0][r][m.cols]
-                assert solve_membership(m, target) == tuple(coeffs)
+        ref = _fraction_rref(RatMatrix(m.rows, m.cols + 1, {
+            **m._entries, **{(r, m.cols): x for r, x in enumerate(target) if x}}))
+        if m.cols in ref[1]:
+            assert solve_membership(m, target) is None
+        else:
+            coeffs = [Fraction(0)] * m.cols
+            for r, pc in enumerate(ref[1]):
+                coeffs[pc] = ref[0][r][m.cols]
+            assert solve_membership(m, target) == tuple(coeffs)
     # rank-deficient matrices were drawn
     assert any(r < n for r, n in ranks)
 
