@@ -91,17 +91,6 @@ def poly(terms=None) -> Polynomial:
     return out
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
 def multiply(gens, p: Polynomial, q: Polynomial) -> Polynomial:
     """Bilinear Koszul-signed product."""
     out: Polynomial = {}
@@ -116,20 +105,6 @@ def multiply(gens, p: Polynomial, q: Polynomial) -> Polynomial:
             else:
                 out.pop(m, None)
     return out
-
-
-def poly_degree(gens, p: Polynomial) -> int | None:
-    """Common degree of all terms; None for the zero polynomial.
-
-    Raises ValueError when terms mix degrees (degree queries are only
-    well-defined on homogeneous polynomials).
-    """
-    degs = {monomial_degree(gens, m) for m in p}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
-    return degs.pop()
 
 
 def apply_derivation(gens, deriv: Derivation, p: Polynomial) -> Polynomial:
@@ -191,9 +166,9 @@ def _derive_monomial(gens, deriv: Derivation, m: Monomial) -> Polynomial:
     return {key: Fraction(c) for key, c in out.items() if c}
 
 
-def monomial_basis(gens, degree: int, max_length: int | None = None) -> list[Monomial]:
-    """All canonical monomials of the given total degree (word length
-    <= max_length when given), in ascending lexicographic exponent order.
+def monomial_basis(gens, degree: int) -> list[Monomial]:
+    """All canonical monomials of the given total degree, in ascending
+    lexicographic exponent order.
 
     The enumeration order is part of the public contract: stable
     representative cocycles depend on it.
@@ -203,7 +178,7 @@ def monomial_basis(gens, degree: int, max_length: int | None = None) -> list[Mon
     n = len(gens)
     out: list[Monomial] = []
 
-    def rec(idx: int, remaining: int, length_left: int | None, prefix: list[int]):
+    def rec(idx: int, remaining: int, prefix: list[int]):
         if remaining == 0:
             out.append(tuple(prefix + [0] * (n - idx)))
             return
@@ -213,19 +188,12 @@ def monomial_basis(gens, degree: int, max_length: int | None = None) -> list[Mon
         cap = remaining // g.degree
         if g.is_odd:
             cap = min(cap, 1)
-        if length_left is not None:
-            cap = min(cap, length_left)
         for e in range(cap + 1):
             prefix.append(e)
-            rec(
-                idx + 1,
-                remaining - e * g.degree,
-                None if length_left is None else length_left - e,
-                prefix,
-            )
+            rec(idx + 1, remaining - e * g.degree, prefix)
             prefix.pop()
 
-    rec(0, degree, max_length, [])
+    rec(0, degree, [])
     return out
 
 

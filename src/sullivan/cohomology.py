@@ -3,13 +3,18 @@ word-length bigraded H^i_k for homogeneous models, formal dimension,
 the exact ellipticity decision, fundamental class and the
 Poincare-duality pairing.
 
-Bases, monomial differentials and the cohomology of each degree (or
-(i, k) strand) are memoized on a per-model engine.  Degrees are built
-upward, each by one `reduce_rows` pass over the images d(m) of its
-basis monomials in basis order: the relations among the images are the
-cocycles, and their span is the next degree's boundaries.  Each relation
-is the unique one between an image and the earlier independent images,
-so the cocycles are the reduced-echelon kernel basis of the differential.
+Bases, monomial differentials and the cohomology of each degree are
+memoized on a per-model engine.  Degrees are built upward, each by one
+`reduce_rows` pass over the images d(m) of its basis monomials in basis
+order: the relations among the images are the cocycles, and their span
+is the next degree's boundaries.  Each relation is the unique one
+between an image and the earlier independent images, so the cocycles
+are the reduced-echelon kernel basis of the differential.
+
+A strand H^i_k of a homogeneous model is the word-length-k part of H^i,
+not a build of its own: each image d(m) has word length wl(m) + l - 1 and
+a row is only combined with stored rows whose pivot lies in its support,
+so the rows of length k are reduced exactly as a strand-only pass would.
 
 Cochains are polynomials keyed by monomial everywhere: boundaries,
 cocycles and representatives go into `Echelon` as sparse rows with the
@@ -146,8 +151,8 @@ class CohomologyEngine:
         self._dmono: dict[Monomial, Polynomial] = {}
         self._full: dict[int, _DegreeCohomology] = {}
         self._strand: dict[tuple[int, int], _DegreeCohomology] = {}
-        # B^i (or B^i_k) left by the build below, until H^i is built
-        self._boundaries: dict[tuple[int, int | None], Echelon] = {}
+        # B^i left by the build below, until H^i is built
+        self._boundaries: dict[int, Echelon] = {}
         self._certificate: EllipticityCertificate | None = None
         self._profile = length_profile(model)
 
@@ -193,19 +198,16 @@ class CohomologyEngine:
 
     # -- cohomology -----------------------------------------------------
 
-    def _build(self, i: int, k: int | None) -> _DegreeCohomology:
-        """H^i (or H^i_k) from one reduction of the images d(m), m in the
-        basis: its relations are the cocycles, and its span is the next
-        degree's boundaries, left in `_boundaries` for that build."""
-        basis = self.basis(i) if k is None else self.strand_basis(i, k)
-        ech = self._boundaries.pop((i, k), None)
-        if ech is None:  # degree 0, or no strand below
-            ech = Echelon()
+    def _build(self, i: int) -> _DegreeCohomology:
+        """H^i from one reduction of the images d(m), m in the basis: its
+        relations are the cocycles, and its span is B^(i+1), left in
+        `_boundaries` for the next build."""
+        basis = self.basis(i)
+        ech = self._boundaries.pop(i, None) or Echelon()  # none below degree 0
         image, relations = reduce_rows(
             [self.d_mono(m) for m in basis], [(_TAG, j) for j in range(len(basis))]
         )
-        above = (i + 1, None if k is None else k + self._profile.l - 1)
-        self._boundaries[above] = image
+        self._boundaries[i + 1] = image
         reps = []
         for rel in relations:
             cocycle = {basis[j]: c for (_, j), c in rel.items()}
@@ -214,30 +216,28 @@ class CohomologyEngine:
                 reps.append(row)
         return _DegreeCohomology(i, basis, reps, ech)
 
-    def _build_up(self, memo: dict, i: int, k: int | None) -> _DegreeCohomology:
-        """Build degree i (strand (i, k)) and, lowest first, the missing
-        ones below it that d maps into it in turn, so that each build
-        takes its boundaries from the one below."""
-        chain = []
-        while i >= 0 and (k is None or k >= 0) and (i if k is None else (i, k)) not in memo:
-            chain.append((i, k))
-            i, k = i - 1, None if k is None else k - (self._profile.l - 1)
-        for i, k in reversed(chain):
-            got = memo[i if k is None else (i, k)] = self._build(i, k)
-        return got
-
     def full(self, i: int) -> _DegreeCohomology:
+        """H^i; the missing degrees below it are built first, lowest first."""
         if i < 0:
             return _DegreeCohomology(i, [], [], Echelon())
         got = self._full.get(i)
-        return got if got is not None else self._build_up(self._full, i, None)
+        if got is None:
+            for j in range(len(self._full), i + 1):  # _full holds 0..len-1
+                got = self._full[j] = self._build(j)
+        return got
 
     def strand(self, i: int, k: int) -> _DegreeCohomology:
+        """H^i_k: the part of H^i of word length k (see the module docstring)."""
         self._require_homogeneous()
         if i < 0 or k < 0:
             return _DegreeCohomology(i, [], [], Echelon())
         got = self._strand.get((i, k))
-        return got if got is not None else self._build_up(self._strand, i, k)
+        if got is None:
+            whole = self.full(i)
+            reps = [rep for rep in whole.reps if word_length(next(iter(rep))) == k]
+            ech = whole.echelon.restrict(lambda pivot: word_length(pivot) == k)
+            got = self._strand[(i, k)] = _DegreeCohomology(i, self.strand_basis(i, k), reps, ech)
+        return got
 
     def cohomology_at(self, i: int, k: int | None = None) -> _DegreeCohomology:
         """H^i, or the strand H^i_k when k is given."""
@@ -283,6 +283,9 @@ class CohomologyEngine:
         above the formal dimension N.  Vanishing in degrees
         N+1..N+max|x_even| forces vanishing in every higher degree, since
         a monomial there is some x_j times a monomial of degree > N.
+
+        Pairings are checked for i <= N/2: by graded commutativity
+        pd_pairing(N - i) = (-1)^(i(N-i)) pd_pairing(i)^T.
         """
         n_form = self.formal_dimension_formula()
         if n_form < 0:
@@ -293,7 +296,7 @@ class CohomologyEngine:
         witness = self._pure_quotient_witness(n_form)
         if witness:
             return EllipticityCertificate("refutation", n_form, witness)
-        for i in range(n_form + 1):
+        for i in range(n_form // 2 + 1):
             mat, ok = self.pd_pairing(i)
             if not ok:
                 raise InternalInvariantError(

@@ -256,6 +256,18 @@ class Echelon:
         dup._labels = self._labels[:]
         return dup
 
+    def restrict(self, keep) -> "Echelon":
+        """The stored rows whose pivot satisfies keep, shared as in
+        `clone`; their labels are renumbered 0, 1, ... in label order."""
+        sub = Echelon()
+        kept = [j for j, p in enumerate(self._pivots) if keep(p)]
+        labels = sorted(self._labels[j] for j in kept if self._labels[j] is not None)
+        renumber = {label: n for n, label in enumerate(labels)}
+        sub._rows = [self._rows[j] for j in kept]
+        sub._pivots = [self._pivots[j] for j in kept]
+        sub._labels = [renumber.get(self._labels[j]) for j in kept]
+        return sub
+
     def _reduce(self, num: dict, scale: Fraction | None = None,
                 coeffs: dict | None = None) -> tuple[dict, Fraction | None]:
         """Reduce the primitive integer row num against the stored rows,

@@ -282,7 +282,6 @@ class RandomModelParams:
     n_even: int = 2
     n_odd: int = 2
     l: int = 2
-    min_even_degree: int = 2
     max_even_degree: int = 2
     leading_odd_sphere: bool = False
     max_attempts: int = 64
@@ -322,7 +321,7 @@ def random_elliptic_model(seed: int, params: RandomModelParams) -> SullivanModel
 
 def _sample_pure(rng, params: RandomModelParams, seed: int, attempt: int) -> SullivanModel:
     even_degrees = [
-        rng.randrange(params.min_even_degree, params.max_even_degree + 1, 2)
+        rng.randrange(2, params.max_even_degree + 1, 2)
         for _ in range(params.n_even)
     ]
     spec_gens = []

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import monomial_basis
 from .cohomology import engine_for
-from .linalg import RatMatrix, rank
+from .linalg import reduce_rows
 from .model import SullivanModel, length_profile
 from .toomer import e0_spectrum, toomer_of_algebra
 
@@ -193,19 +192,11 @@ def odd_cocycle_kernel_dimension(model: SullivanModel) -> int:
     """dim ker(d restricted to the span of odd-degree generators),
     computed per degree so cocycles hiding behind a basis change of V are
     detected."""
-    gens = model.generators
     total = 0
     degrees = {g.degree for g in model.odd_generators}
     for j in sorted(degrees):
         cols = [g for g in model.odd_generators if g.degree == j]
-        target = monomial_basis(gens, j + 1)
-        index = {m: r for r, m in enumerate(target)}
-        entries = {}
-        for c, g in enumerate(cols):
-            for m, v in model.d_of(g.index).items():
-                entries[(index[m], c)] = v
-        mat = RatMatrix(len(target), len(cols), entries)
-        total += len(cols) - rank(mat)
+        total += len(cols) - reduce_rows([model.d_of(g.index) for g in cols])[0].rank
     return total
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sullivan.algebra import monomial_basis
+from sullivan.algebra import monomial_basis, monomial_degree
 from sullivan.library import get_model, library
 from sullivan.model import RandomModelParams, length_profile, make_model, random_elliptic_model
 
@@ -97,6 +97,32 @@ def poly_scale(p, c):
 
     c = Fraction(c)
     return {m: v * c for m, v in p.items()} if c else {}
+
+
+def poly_add(p, q):
+    """p + q, with no zero coefficients stored."""
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def poly_degree(gens, p):
+    """Common degree of all terms; None for the zero polynomial.
+
+    Raises ValueError when terms mix degrees (degree queries are only
+    well-defined on homogeneous polynomials).
+    """
+    degs = {monomial_degree(gens, m) for m in p}
+    if not degs:
+        return None
+    if len(degs) > 1:
+        raise ValueError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
+    return degs.pop()
 
 
 def model_pool():

@@ -15,8 +15,6 @@ from sullivan.algebra import (
     koszul_sign,
     monomial_basis,
     multiply,
-    poly_add,
-    poly_degree,
 )
 from sullivan.cohomology import engine_for, bigraded_profile, cohomology_table
 from sullivan.library import get_model, library
@@ -34,7 +32,7 @@ from sullivan.toomer import (
     toomer_of_class,
     toomer_via_fundamental_class,
 )
-from conftest import model_pool, poly_scale, random_polynomial
+from conftest import model_pool, poly_add, poly_degree, poly_scale, random_polynomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -21,11 +21,12 @@ from sullivan.cohomology import (
     pd_pairing,
 )
 from sullivan.library import get_model, library
-from sullivan.linalg import Echelon, kernel_basis, matmul
+from sullivan.linalg import Echelon, RatMatrix, kernel_basis, matmul
 from sullivan.model import (
     RandomModelParams,
     length_profile,
     make_model,
+    quotient_model,
     random_elliptic_model,
 )
 from sullivan.parser import parse_model
@@ -265,13 +266,21 @@ def test_pd_pairing_5gen_middle():
     assert ok and mat.rows == 2 and mat.cols == 2
 
 
-def test_pd_pairing_nondegenerate_everywhere():
-    for name in ["heisenberg", "example-5gen", "cp:3", "cpl-sphere:3,1", "mixed:1"]:
-        m = get_model(name)
+def test_pd_pairing_nondegenerate_everywhere(random_corpus):
+    """Every pairing is nondegenerate, and pd_pairing(N - i) is
+    (-1)^(i(N-i)) times the transpose of pd_pairing(i) (graded
+    commutativity), which lets certification check i <= N/2 only."""
+    names = ["heisenberg", "example-5gen", "cp:3", "cpl-sphere:3,1", "mixed:1"]
+    for m in [get_model(name) for name in names] + random_corpus:
         n = engine_for(m).require_certificate().formal_dimension
         for i in range(n + 1):
             mat, ok = pd_pairing(m, i)
-            assert ok, f"{name} degree {i}"
+            assert ok, f"{m.name} degree {i}"
+            dual, _ = pd_pairing(m, n - i)
+            sign = -1 if i * (n - i) % 2 else 1
+            assert dual == RatMatrix(mat.cols, mat.rows, {
+                (t, s): sign * mat.entry(s, t)
+                for s in range(mat.rows) for t in range(mat.cols)}), f"{m.name} degree {i}"
 
 
 def test_bigraded_profile_5gen_extremes():
@@ -442,20 +451,37 @@ def assert_same_cohomology(model, got, ref, where):
         assert got.coordinates(rep) == ref.coordinates(rep), where
 
 
+def strand_range(engine):
+    """Engines and the (i_max, k_max) of the strands a Wang or Gysin build
+    reads on the model (both the model and its quotient, ranges as in
+    `sequences._build`); the model's strands up to N otherwise."""
+    m = engine.model
+    n = engine.formal_dimension_formula()
+    if not m.generators or m.d_of(0):
+        return [engine], n, engine.max_length()
+    x1 = m.generators[0]
+    quotient = engine_for(quotient_model(m, x1))
+    i_max = max(n, quotient.formal_dimension_formula()) + x1.degree + 1
+    k_max = max(engine.max_length(), quotient.max_length()) + length_profile(m).l
+    return [engine, quotient], i_max, k_max
+
+
 def test_one_pass_build_matches_two_eliminations(random_corpus):
     """Reps, dims and class coordinates of the one-pass build agree with
     the reference in every degree up to N + 1, and in every strand of the
-    homogeneous models."""
+    homogeneous models that their Wang or Gysin sequence reads."""
     for m in library() + random_corpus + [pow_model(3, 3), pow_model(4, 3)]:
         engine = engine_for(m)
         n = engine.formal_dimension_formula()
         for i in range(n + 2):
             assert_same_cohomology(m, engine.full(i), reference_build(engine, i), (m.name, i))
         if length_profile(m).is_homogeneous:
-            for i in range(n + 1):
-                for k in range(engine.max_length() + 1):
-                    assert_same_cohomology(
-                        m, engine.strand(i, k), reference_build(engine, i, k), (m.name, i, k))
+            engines, i_max, k_max = strand_range(engine)
+            for eng in engines:
+                for i in range(i_max + 1):
+                    for k in range(k_max + 1):
+                        assert_same_cohomology(eng.model, eng.strand(i, k),
+                                               reference_build(eng, i, k), (eng.model.name, i, k))
 
 
 def poincare_series_betti(model, top):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan.algebra import apply_derivation, multiply, poly_add
+from sullivan.algebra import apply_derivation, multiply
 from sullivan.library import get_model, library
 from sullivan.model import (
     GenerationBudgetError,
@@ -18,7 +18,7 @@ from sullivan.model import (
     validate,
     wang_derivation,
 )
-from conftest import random_polynomial
+from conftest import poly_add, random_polynomial
 
 
 def test_validate_even_sphere():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan.algebra import poly_add, word_length
+from sullivan.algebra import word_length
 from sullivan.cohomology import (
     CohomologyClass,
     engine_for,
@@ -21,6 +21,7 @@ from sullivan.toomer import (
     toomer_of_class,
     toomer_via_fundamental_class,
 )
+from conftest import poly_add
 
 
 def test_odd_sphere_fundamental_class():
