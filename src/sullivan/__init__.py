@@ -42,7 +42,6 @@ from .toomer import (
     ToomerReport,
     e0_spectrum,
     gap_scan,
-    quotient_complex,
     toomer_of_algebra,
     toomer_of_class,
     toomer_via_fundamental_class,

@@ -5,7 +5,8 @@ rendering is derived from that tree, so no number exists only in prose.
 
 Exit codes: 0 pass, 2 usage (including an --out path that cannot be
 written), 3 validation failure, 4 theorem-verdict failure, 5 internal
-invariant breach.
+invariant breach or any other unexpected exception (one line naming the
+exception type, never a traceback).
 """
 
 from __future__ import annotations
@@ -463,6 +464,9 @@ def _execute(args) -> tuple[int, dict]:
         return EXIT_INTERNAL, _document(
             args, {"error": msg}, [f"internal invariant breach: {msg}"]
         )
+    except Exception as err:
+        msg = f"{type(err).__name__}: {err}".splitlines()[0]
+        return EXIT_INTERNAL, _document(args, {"error": msg}, [f"internal error: {msg}"])
     return code, _document(args, payload, lines)
 
 

@@ -288,8 +288,10 @@ def _position_label(les: LesData, node: NodeKey) -> str:
 def check_exactness(les: LesData, node_filter=None) -> LesReport:
     """Exactness at every materialized node: rank(incoming) = dim
     ker(outgoing) and the composite vanishes; failures carry a witness
-    class vector from ker(outgoing) not reached by the incoming map."""
+    class vector from ker(outgoing) not reached by the incoming map.
+    Each map's rank is computed once, for its source and target nodes."""
     verdicts = []
+    ranks: dict = {}
     for node, role, in_key, out_key in _node_checks(les):
         dim = les.dim(node)
         if node_filter is not None and not node_filter(node):
@@ -303,8 +305,11 @@ def check_exactness(les: LesData, node_filter=None) -> LesReport:
                 f"map dimensions disagree with node {node}: "
                 f"in {in_mat.rows}, out {out_mat.cols}, node {dim}"
             )
-        rank_in = rank(in_mat)
-        kernel_out = dim - rank(out_mat)
+        for key, lmap in ((in_key, in_map), (out_key, out_map)):
+            if key not in ranks:
+                ranks[key] = 0 if lmap is None else rank(lmap.matrix)
+        rank_in = ranks[in_key]
+        kernel_out = dim - ranks[out_key]
         composite_ok = True
         if in_map is not None and out_map is not None:
             composite_ok = matmul(out_mat, in_mat).is_zero()

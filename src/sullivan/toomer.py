@@ -1,13 +1,26 @@
 """The rational Toomer invariant.
 
-Quotient complexes Lambda V / Lambda^(>n) V, the kernel filtration of
-the induced projections on cohomology, e0 of classes and of the algebra,
-the realized-value spectrum and gap detection.
+The projection p_n: Lambda V -> Lambda V / Lambda^(>n) V is a DG map (d
+raises word length), and K_n = ker p_n^* on cohomology is the Toomer
+filtration H^+ = K_0 >= K_1 >= ...  e0(x), the largest m such that x has
+a representative in Lambda^(>=m) V, is the smallest n with
+p_n^*(x) != 0, and e0 of the algebra is the smallest n with K_n = 0.
+Realized values are detected through the drop mu_k = dim K_(k-1) -
+dim K_k: "some class has e0 = k" is not a subspace condition, but the
+drop is equivalent and exact, and it counts independent witnesses.
 
-Realized values are detected through the kernel-dimension drop
-mu_k = dim K_(k-1) - dim K_k: "some class has e0 = k" is not a subspace
-condition, but the drop characterization is equivalent and exact, and it
-counts independent witnesses.
+A cocycle x has p_n^*[x] = 0 iff x lies in B^i + Lambda^(>n) V.  One
+`Echelon` of B^i per degree, its columns keyed (word length, monomial)
+so that a row's pivot is its shortest term, decides this for every n:
+reducing a cochain with no term of length <= n only subtracts rows
+longer than n, so the residual of x is longer than n iff x lies in
+B^i + Lambda^(>n) V, and e0(x) is the shortest word length in it.  Added
+on top of that echelon, H^i's representatives complete it to an echelon
+of Z^i, so dim K_n^i = dim(Z^i cap Lambda^(>n) V) - dim(B^i cap
+Lambda^(>n) V) is the number of added rows whose pivot is longer than n.
+This is the persistence reduction for the filtration by word length
+(Edelsbrunner-Letscher-Zomorodian 2002; Zomorodian-Carlsson 2005): one
+elimination per degree, not one per (degree, cutoff).
 """
 
 from __future__ import annotations
@@ -25,69 +38,58 @@ from .linalg import Echelon
 from .model import SullivanModel
 
 
+def _by_length(p: Polynomial) -> dict:
+    """p as a row keyed (word length, monomial): its pivot is its
+    shortest term."""
+    return {(word_length(m), m): c for m, c in p.items()}
+
+
 class QuotientComplex:
-    """The DG quotient by monomials of word length > cutoff.
+    """Every quotient Lambda V / Lambda^(>n) V of one engine at once,
+    through one length-keyed echelon of B^i per degree (see the module
+    docstring)."""
 
-    A cochain of the quotient is a polynomial with no term longer than
-    the cutoff; the projection p_n and the induced differential just
-    delete the long terms (the ideal is d-stable because d raises word
-    length).
-    """
-
-    def __init__(self, engine: CohomologyEngine, cutoff: int):
+    def __init__(self, engine: CohomologyEngine):
         self.engine = engine
-        self.cutoff = cutoff
         self._deg: dict[int, Echelon] = {}
 
-    def project(self, p: Polynomial) -> Polynomial:
-        """p_n(p): the terms of word length <= cutoff."""
-        return {m: c for m, c in p.items() if word_length(m) <= self.cutoff}
-
     def degree_data(self, i: int) -> Echelon:
-        """The echelon of the quotient's coboundaries in degree i, cached."""
+        """The echelon of B^i, columns keyed (word length, monomial), cached."""
         got = self._deg.get(i)
         if got is None:
             got = Echelon()
-            if i >= 1:
-                for m in self.engine.basis(i - 1):
-                    if word_length(m) <= self.cutoff:
-                        boundary = self.project(self.engine.d_mono(m))
-                        if boundary:
-                            got.add(boundary)
+            for m in self.engine.basis(i - 1):
+                got.add(_by_length(self.engine.d_mono(m)))
             self._deg[i] = got
         return got
 
-    def projects_to_boundary(self, i: int, p: Polynomial) -> bool:
-        """Is p_n(p) a coboundary (possibly zero) in the quotient?"""
-        return self.degree_data(i).contains(self.project(p))
+    def level(self, i: int, p: Polynomial) -> int | None:
+        """The shortest word length in p's residual modulo B^i (None when p
+        is a coboundary): p_n^*[p] = 0 iff n is below it."""
+        residual = self.degree_data(i).residual(_by_length(p))
+        return min(residual)[0] if residual else None
 
-    def kernel_dim(self, i: int) -> int:
-        """dim ker(p_n^* on H^i)."""
-        dc = self.engine.full(i)
-        if dc.dim == 0:
-            return 0
+    def projects_to_boundary(self, i: int, p: Polynomial, n: int) -> bool:
+        """Is p_n(p) a coboundary (possibly zero) in the quotient by
+        Lambda^(>n) V?"""
+        level = self.level(i, p)
+        return level is None or level > n
+
+    def kernel_dim(self, i: int) -> tuple[int, ...]:
+        """dim ker(p_n^* on H^i) for n = 0, 1, ..., ending at its first 0."""
+        reps = self.engine.full(i).reps
+        if not reps:
+            return (0,)
         probe = self.degree_data(i).clone()
-        surviving = 0
-        for rep in dc.reps:
-            if probe.add(self.project(rep)) is not None:
-                surviving += 1
-        return dc.dim - surviving
+        lengths = [min(probe.add(_by_length(rep)))[0] for rep in reps]
+        return tuple(sum(k > n for k in lengths) for n in range(max(lengths) + 1))
 
 
-def _quotient(engine: CohomologyEngine, cutoff: int) -> QuotientComplex:
-    table = getattr(engine, "_quotients", None)
-    if table is None:
-        table = {}
-        engine._quotients = table
-    qc = table.get(cutoff)
+def _quotients(engine: CohomologyEngine) -> QuotientComplex:
+    qc = getattr(engine, "_toomer_quotients", None)
     if qc is None:
-        qc = QuotientComplex(engine, cutoff)
-        table[cutoff] = qc
+        qc = engine._toomer_quotients = QuotientComplex(engine)
     return qc
-
-
-def quotient_complex(model: SullivanModel, cutoff: int) -> QuotientComplex:
-    return _quotient(engine_for(model), cutoff)
 
 
 @dataclass(frozen=True)
@@ -131,80 +133,58 @@ def toomer_of_class(model: SullivanModel, x: CohomologyClass) -> int:
     engine = engine_for(model)
     if x.degree == 0:
         return 0
-    for n in range(1, x.degree + 1):
-        if not _quotient(engine, n).projects_to_boundary(x.degree, x.representative):
-            return n
-    raise InternalInvariantError(
-        f"class in degree {x.degree} died in every quotient up to its degree; "
-        f"is it really nonzero in cohomology?"
-    )
-
-
-def _degree_kernel_dims(engine: CohomologyEngine, i: int) -> list[int]:
-    """dim K_n^i for n = 0, 1, ... until it reaches zero."""
-    b = engine.betti(i)
-    dims = [b]
-    n = 1
-    while dims[-1] > 0:
-        dims.append(_quotient(engine, n).kernel_dim(i))
-        n += 1
-        if n > i + 1:
-            if dims[-1] > 0:
-                raise InternalInvariantError(
-                    f"kernel filtration in degree {i} did not reach zero"
-                )
-            break
-    return dims
-
-
-def _filtration(engine: CohomologyEngine) -> ToomerFiltration:
-    filt = getattr(engine, "_toomer_filtration", None)
-    if filt is None:
-        n_top = engine.require_certificate().formal_dimension
-        rows = [tuple(_degree_kernel_dims(engine, i)) for i in range(1, n_top + 1)]
-        filt = ToomerFiltration(tuple(rows), n_top)
-        engine._toomer_filtration = filt
-    return filt
-
-
-def toomer_of_algebra(model: SullivanModel) -> int:
-    """Smallest n such that p_n^* is injective in every degree <= N."""
-    return _filtration(engine_for(model)).e0
-
-
-def toomer_via_fundamental_class(model: SullivanModel) -> int:
-    engine = engine_for(model)
-    return toomer_of_class(model, engine.fundamental_class())
+    level = _quotients(engine).level(x.degree, x.representative)
+    if level is None:
+        raise InternalInvariantError(
+            f"class in degree {x.degree} died in every quotient up to its degree; "
+            f"is it really nonzero in cohomology?"
+        )
+    return level
 
 
 def e0_spectrum(model: SullivanModel) -> ToomerReport:
+    """The Toomer report of the model, computed once per engine."""
     engine = engine_for(model)
-    cert = engine.require_certificate()
-    filt = _filtration(engine)
+    report = getattr(engine, "_toomer_report", None)
+    if report is not None:
+        return report
+    n_top = engine.require_certificate().formal_dimension
+    qc = _quotients(engine)
+    filt = ToomerFiltration(tuple(qc.kernel_dim(i) for i in range(1, n_top + 1)), n_top)
     e0 = filt.e0
     spectrum = [1]  # mu_0: the unit class
     for k in range(1, e0 + 1):
         spectrum.append(filt.total(k - 1) - filt.total(k))
     gaps = tuple(k for k in range(1, e0 + 1) if spectrum[k] == 0)
-    per_class = []
-    for i in range(1, cert.formal_dimension + 1):
-        per_class.append(
-            tuple(toomer_of_class(model, cls) for cls in engine.classes(i))
-        )
-    total_h_plus = sum(engine.betti(i) for i in range(1, cert.formal_dimension + 1))
+    per_class = tuple(
+        tuple(toomer_of_class(model, cls) for cls in engine.classes(i))
+        for i in range(1, n_top + 1)
+    )
+    total_h_plus = sum(engine.betti(i) for i in range(1, n_top + 1))
     if sum(spectrum[1:]) != total_h_plus:
         raise InternalInvariantError(
             f"spectrum mass {sum(spectrum[1:])} != dim H^+ = {total_h_plus}"
         )
-    return ToomerReport(
+    report = engine._toomer_report = ToomerReport(
         e0_algebra=e0,
         cat0=e0,
         spectrum=tuple(spectrum),
         gaps=gaps,
-        per_class=tuple(per_class),
+        per_class=per_class,
         filtration=filt,
         total_h_plus=total_h_plus,
     )
+    return report
+
+
+def toomer_of_algebra(model: SullivanModel) -> int:
+    """Smallest n such that p_n^* is injective in every degree <= N."""
+    return e0_spectrum(model).e0_algebra
+
+
+def toomer_via_fundamental_class(model: SullivanModel) -> int:
+    engine = engine_for(model)
+    return toomer_of_class(model, engine.fundamental_class())
 
 
 @dataclass(frozen=True)

@@ -163,13 +163,18 @@ def test_window_flag_rejected(capsys):
     (["cohomology", "--model", "{zero_denominator}"], 3),
     (["library", "--out", "{dir}/missing/report.txt"], 2),
     (["cohomology", "--lib", "cp:2", "--format", "json", "--out", "{dir}"], 2),
+    # 1,200 generators exhaust the recursion limit of the basis enumeration
+    (["cohomology", "--model", "{many_generators}"], 5),
 ])
 def test_bad_inputs_exit_with_one_line_message(tmp_path, capsys, argv, code):
     binary = tmp_path / "model.bin"
     binary.write_bytes(b"gen x 2\n\xff\xfe\x00")
     zero_denominator = tmp_path / "zero.sul"
     zero_denominator.write_text("gen x 2\ngen y 3\nd y = 1/0*x^2\n")
-    argv = [a.format(dir=tmp_path, binary=binary, zero_denominator=zero_denominator)
+    many_generators = tmp_path / "many.sul"
+    many_generators.write_text("".join(f"gen y{i} 3\n" for i in range(1200)))
+    argv = [a.format(dir=tmp_path, binary=binary, zero_denominator=zero_denominator,
+                     many_generators=many_generators)
             for a in argv]
     assert main(argv) == code
     out = capsys.readouterr().out

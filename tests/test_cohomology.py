@@ -380,6 +380,18 @@ def test_euler_characteristic_elliptic_facts():
             assert chi == 0, m.name
 
 
+def test_euler_characteristic_vanishes_with_more_odd_generators(random_corpus):
+    """Halperin 1977: an elliptic model with dim V^odd > dim V^even has
+    chi = sum (-1)^i b_i = 0.  Read from the Betti numbers and the
+    generator counts only, on every such library and corpus model."""
+    models = [m for m in library() + random_corpus
+              if len(m.odd_generators) > len(m.even_generators)]
+    assert len(models) == 37
+    for m in models:
+        betti = cohomology_table(m).betti
+        assert sum((-1) ** i * b for i, b in enumerate(betti)) == 0, m.name
+
+
 def test_representatives_are_cocycles_and_canonical():
     rng = random.Random(77)
     for name in ["example-5gen", "nil5", "cp:3", "mixed:4"]:

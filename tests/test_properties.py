@@ -1,0 +1,85 @@
+"""Property tests: model text round-trips through the printer, and no
+model text makes the CLI end outside its documented exit codes."""
+
+import contextlib
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from sullivan.algebra import Generator, monomial_basis  # noqa: E402
+from sullivan.cli import main  # noqa: E402
+from sullivan.model import make_model  # noqa: E402
+from sullivan.parser import parse_model, print_model  # noqa: E402
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+COEFFICIENTS = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
+@st.composite
+def pure_models(draw):
+    """A small pure model: even generators of degree 2 or 4 and odd ones
+    whose differentials are random decomposable polynomials in the evens
+    (so d^2 = 0); elliptic or not."""
+    evens = draw(st.lists(st.sampled_from((2, 4)), min_size=1, max_size=3))
+    odds = draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3))
+    gens = [(f"x{j}", d) for j, d in enumerate(evens)] + [(f"y{j}", d) for j, d in enumerate(odds)]
+    even_gens = [Generator(j, name, d) for j, (name, d) in enumerate(gens[:len(evens)])]
+    diffs = {}
+    for name, degree in gens[len(evens):]:
+        monos = [m for m in monomial_basis(even_gens, degree + 1) if sum(m) >= 2]
+        if not monos:
+            continue
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=3, unique=True))
+        diffs[name] = {m + (0,) * len(odds): draw(COEFFICIENTS) for m in chosen}
+    return make_model(gens, diffs)
+
+
+@SETTINGS
+@given(pure_models())
+def test_parse_inverts_print(model):
+    text = print_model(model)
+    again = parse_model(text)
+    assert again == model
+    assert print_model(again) == text
+
+
+@st.composite
+def model_texts(draw):
+    """The text of a small pure model with up to two edits: a line
+    dropped, duplicated or replaced by junk."""
+    lines = print_model(draw(pure_models())).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "duplicate", "junk")))
+        if edit == "drop":
+            del lines[j]
+        elif edit == "duplicate":
+            lines.insert(j, lines[j])
+        else:
+            lines[j] = draw(st.text(max_size=12))
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+COMMANDS = st.sampled_from((["validate"], ["cohomology"], ["bigraded"], ["toomer"],
+                            ["wang"], ["gysin"], ["verify", "all"]))
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.sul"
+
+
+@SETTINGS
+@given(model_texts(), COMMANDS)
+def test_fuzzed_model_text_exits_with_a_documented_code(model_path, text, command):
+    model_path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(command + ["--model", str(model_path)])
+    assert code in (0, 2, 3, 4, 5)
+

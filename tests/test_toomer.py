@@ -6,22 +6,24 @@ import pytest
 from sullivan.algebra import word_length
 from sullivan.cohomology import (
     CohomologyClass,
+    InternalInvariantError,
     engine_for,
     fundamental_class,
     bigraded_profile,
 )
 from sullivan.library import get_model, library
-from sullivan.linalg import RatMatrix, matmul
-from sullivan.model import length_profile
+from sullivan.linalg import Echelon, RatMatrix, matmul
+from sullivan.model import length_profile, make_model
+from sullivan.parser import parse_model
 from sullivan.toomer import (
+    QuotientComplex,
     e0_spectrum,
     gap_scan,
-    quotient_complex,
     toomer_of_algebra,
     toomer_of_class,
     toomer_via_fundamental_class,
 )
-from conftest import poly_add
+from conftest import poly_add, pow_model
 
 
 def test_odd_sphere_fundamental_class():
@@ -163,6 +165,170 @@ def test_remark2_bound_on_mixed_library():
         assert toomer_of_algebra(m) >= bound, m.name
 
 
+# -- test-only reference: one quotient complex, and one coboundary echelon,
+# per cutoff; each class re-reduced once per cutoff ---------------------
+
+
+class ReferenceQuotient:
+    """The DG quotient by monomials of word length > cutoff.
+
+    A cochain of the quotient is a polynomial with no term longer than
+    the cutoff; the projection p_n and the induced differential just
+    delete the long terms.
+    """
+
+    def __init__(self, engine, cutoff):
+        self.engine = engine
+        self.cutoff = cutoff
+        self._deg = {}
+
+    def project(self, p):
+        return {m: c for m, c in p.items() if word_length(m) <= self.cutoff}
+
+    def degree_data(self, i):
+        got = self._deg.get(i)
+        if got is None:
+            got = Echelon()
+            if i >= 1:
+                for m in self.engine.basis(i - 1):
+                    if word_length(m) <= self.cutoff:
+                        boundary = self.project(self.engine.d_mono(m))
+                        if boundary:
+                            got.add(boundary)
+            self._deg[i] = got
+        return got
+
+    def projects_to_boundary(self, i, p):
+        return self.degree_data(i).contains(self.project(p))
+
+    def kernel_dim(self, i):
+        dc = self.engine.full(i)
+        if dc.dim == 0:
+            return 0
+        probe = self.degree_data(i).clone()
+        surviving = sum(probe.add(self.project(rep)) is not None for rep in dc.reps)
+        return dc.dim - surviving
+
+
+class ReferenceToomer:
+    """The Toomer filtration, spectrum and per-class values of one engine
+    from one `ReferenceQuotient` per cutoff."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self._quotients = {}
+
+    def quotient(self, cutoff):
+        if cutoff not in self._quotients:
+            self._quotients[cutoff] = ReferenceQuotient(self.engine, cutoff)
+        return self._quotients[cutoff]
+
+    def kernel_dims(self, i):
+        """dim K_n^i for n = 0, 1, ... until it reaches zero."""
+        dims = [self.engine.betti(i)]
+        n = 1
+        while dims[-1] > 0:
+            dims.append(self.quotient(n).kernel_dim(i))
+            n += 1
+            if n > i + 1:
+                if dims[-1] > 0:
+                    raise InternalInvariantError(f"filtration in degree {i} did not reach zero")
+                break
+        return tuple(dims)
+
+    def of_class(self, cls):
+        if cls.degree == 0:
+            return 0
+        for n in range(1, cls.degree + 1):
+            if not self.quotient(n).projects_to_boundary(cls.degree, cls.representative):
+                return n
+        raise InternalInvariantError(f"class in degree {cls.degree} died in every quotient")
+
+    def report(self):
+        """(dims, spectrum, per_class, e0) as `e0_spectrum` reports them."""
+        n_top = self.engine.require_certificate().formal_dimension
+        dims = tuple(self.kernel_dims(i) for i in range(1, n_top + 1))
+        e0 = max((len(row) - 1 for row in dims), default=0)
+
+        def total(n):
+            return sum(row[n] if n < len(row) else 0 for row in dims)
+
+        spectrum = (1,) + tuple(total(k - 1) - total(k) for k in range(1, e0 + 1))
+        per_class = tuple(
+            tuple(self.of_class(cls) for cls in self.engine.classes(i))
+            for i in range(1, n_top + 1)
+        )
+        return dims, spectrum, per_class, e0
+
+
+def les_style_model(seed, sphere_first, k):
+    """A triangular pure model as in the les-mixed benchmark: d y1 = x1^2,
+    d y2 = x2^k + a x1^(2k) + b x1^2 x2^(k-1), and an extra odd w with
+    d w = c x1^3 + e x1 x2, plus a free odd sphere u first or last.  For
+    k = 3, reduced modulo coboundaries in monomial order, the classes of
+    the top two degrees keep a term one shorter than their e0."""
+    rng = random.Random(seed)
+    a, b, c, e = (rng.choice((-2, -1, 1, 2)) for _ in range(4))
+    gens = [("x1", 2), ("x2", 4), ("y1", 3), ("y2", 4 * k - 1), ("w", 5)]
+    gens = [("u", 3)] + gens if sphere_first else gens + [("u", 3)]
+    names = [g for g, _ in gens]
+
+    def mono(**exps):
+        return tuple(exps.get(g, 0) for g in names)
+
+    diffs = {
+        "y1": {mono(x1=2): 1},
+        "y2": {mono(x2=k): 1, mono(x1=2 * k): a, mono(x1=2, x2=k - 1): b},
+        "w": {mono(x1=3): c, mono(x1=1, x2=1): e},
+    }
+    return make_model(gens, diffs, name=f"les-style({seed},{sphere_first},{k})")
+
+
+# a pure model with two representatives in H^8 whose residuals modulo B^8
+# share their shortest term: reduced by the earlier one, the later one gets
+# longer than its e0, which must be read from its own residual
+SHARED_SHORTEST_TERM = """\
+gen x 2
+gen z 2
+gen y1 3
+gen y2 5
+gen y3 5
+gen y4 7
+d y1 = x*z + 2*x^2
+d y2 = 2*x^3 + x*z^2 + 2*x^2*z
+d y3 = -z^3 - 2*x^3 + x*z^2 + 2*x^2*z
+d y4 = x*z^3 + 4*x^2*z^2 + 4*x^3*z
+"""
+
+
+def cross_check_models(random_corpus):
+    return (library() + random_corpus
+            + [pow_model(3, 3), pow_model(4, 3), pow_model(3, 4)]
+            + [les_style_model(seed, seed % 2 == 0, k) for k in (2, 3) for seed in range(3)]
+            + [parse_model(SHARED_SHORTEST_TERM, name="shared-shortest-term")])
+
+
+def test_filtered_reduction_matches_per_cutoff_reference(random_corpus):
+    for m in cross_check_models(random_corpus):
+        engine = engine_for(m)
+        ref = ReferenceToomer(engine)
+        dims, spectrum, per_class, e0 = ref.report()
+        report = e0_spectrum(m)
+        assert report.filtration.dims == dims, m.name
+        assert report.spectrum == spectrum, m.name
+        assert report.per_class == per_class, m.name
+        assert report.e0_algebra == e0 == toomer_of_algebra(m), m.name
+        # the predicate p_n^*[x] = 0 on each class, for cutoffs up to e0(x)
+        qc = QuotientComplex(engine)
+        for i, values in enumerate(per_class, start=1):
+            for cls, value in zip(engine.classes(i), values):
+                assert toomer_of_class(m, cls) == value, (m.name, i)
+                for n in range(1, value + 1):
+                    assert (qc.projects_to_boundary(i, cls.representative, n)
+                            == ref.quotient(n).projects_to_boundary(i, cls.representative)
+                            == (n < value)), (m.name, i, n)
+
+
 def quotient_d_matrix(qc, i):
     """Induced differential of a quotient complex out of degree i (long
     terms deleted)."""
@@ -184,7 +350,7 @@ def test_quotient_complex_induced_d_squared_zero():
         engine = engine_for(m)
         n = engine.require_certificate().formal_dimension
         for cutoff in range(1, 4):
-            qc = quotient_complex(m, cutoff)
+            qc = ReferenceQuotient(engine, cutoff)
             for i in range(n):
                 d1 = quotient_d_matrix(qc, i)
                 d2 = quotient_d_matrix(qc, i + 1)
@@ -192,25 +358,28 @@ def test_quotient_complex_induced_d_squared_zero():
 
 
 def test_projection_is_chain_map():
-    # truncate(d(m)) = d_quotient(truncate(m)) on every basis monomial
+    # truncate(d(m)) = d_quotient(truncate(m)) on every basis monomial,
+    # and d(m) itself, a coboundary, projects to a coboundary at every cutoff
     for name in ["example-5gen", "mixed:3", "nil4"]:
         m = get_model(name)
         engine = engine_for(m)
+        qc = QuotientComplex(engine)
         n = engine.require_certificate().formal_dimension
         for cutoff in (1, 2, 3):
-            qc = quotient_complex(m, cutoff)
+            ref = ReferenceQuotient(engine, cutoff)
             for i in range(n + 1):
                 for mono in engine.basis(i):
                     truncated_d = {
                         mm: c for mm, c in engine.d_mono(mono).items()
                         if word_length(mm) <= cutoff
                     }
+                    assert qc.projects_to_boundary(i + 1, engine.d_mono(mono), cutoff)
                     if word_length(mono) > cutoff:
                         # m dies under p_n, so its image must too
                         # (d raises length, so this holds automatically)
                         assert not truncated_d
                         continue
-                    assert qc.project(engine.d_mono(mono)) == truncated_d
+                    assert ref.project(engine.d_mono(mono)) == truncated_d
 
 
 def test_gap_scan_empty_corpus():
