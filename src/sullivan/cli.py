@@ -294,7 +294,7 @@ def _cmd_sequence(args, kind):
         "model": model.name,
         "sequence": kind,
         "bigraded": report.bigraded,
-        "nodes_checked": len(report.nodes),
+        "nodes_checked": report.nodes_checked,
         "all_exact": report.all_exact,
         "failures": [
             {
@@ -318,7 +318,7 @@ def _cmd_sequence(args, kind):
     lines = [
         f"model {model.name or '<anonymous>'}: {kind} sequence "
         f"({'bigraded' if report.bigraded else 'ungraded'})",
-        f"nodes checked: {len(report.nodes)}",
+        f"nodes checked: {report.nodes_checked}",
         f"exactness: {'PASS (all nodes exact)' if report.all_exact else 'FAIL'}",
         f"dimension relation ({relation.parity} case): N = {relation.n_total}, "
         f"M = {relation.m_quotient}, expected N = {relation.expected} -> "

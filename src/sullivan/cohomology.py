@@ -15,6 +15,7 @@ A strand H^i_k of a homogeneous model is the word-length-k part of H^i,
 not a build of its own: each image d(m) has word length wl(m) + l - 1 and
 a row is only combined with stored rows whose pivot lies in its support,
 so the rows of length k are reduced exactly as a strand-only pass would.
+H^i is split into its strands in one pass, on the first request.
 
 Cochains are polynomials keyed by monomial everywhere: boundaries,
 cocycles and representatives go into `Echelon` as sparse rows with the
@@ -151,6 +152,7 @@ class CohomologyEngine:
         self._dmono: dict[Monomial, Polynomial] = {}
         self._full: dict[int, _DegreeCohomology] = {}
         self._strand: dict[tuple[int, int], _DegreeCohomology] = {}
+        self._split: dict[int, dict[int, _DegreeCohomology]] = {}
         # B^i left by the build below, until H^i is built
         self._boundaries: dict[int, Echelon] = {}
         self._certificate: EllipticityCertificate | None = None
@@ -229,14 +231,28 @@ class CohomologyEngine:
     def strand(self, i: int, k: int) -> _DegreeCohomology:
         """H^i_k: the part of H^i of word length k (see the module docstring)."""
         self._require_homogeneous()
-        if i < 0 or k < 0:
-            return _DegreeCohomology(i, [], [], Echelon())
         got = self._strand.get((i, k))
         if got is None:
+            got = self.strands(i).get(k) or _DegreeCohomology(i, [], [], Echelon())
+            self._strand[(i, k)] = got
+        return got
+
+    def strands(self, i: int) -> dict[int, _DegreeCohomology]:
+        """{k: H^i_k} for every length k of a basis monomial, from one pass
+        over H^i; each part's labels are renumbered in H^i order."""
+        self._require_homogeneous()
+        got = self._split.get(i)
+        if got is None:
             whole = self.full(i)
-            reps = [rep for rep in whole.reps if word_length(next(iter(rep))) == k]
-            ech = whole.echelon.restrict(lambda pivot: word_length(pivot) == k)
-            got = self._strand[(i, k)] = _DegreeCohomology(i, self.strand_basis(i, k), reps, ech)
+            echelons = whole.echelon.split(word_length)
+            got = self._split[i] = {}
+            for m in whole.basis:
+                k = word_length(m)
+                if k not in got:
+                    got[k] = _DegreeCohomology(i, [], [], echelons.get(k) or Echelon())
+                got[k].basis.append(m)
+            for rep in whole.reps:  # each rep is homogeneous, in a basis length
+                got[word_length(next(iter(rep)))].reps.append(rep)
         return got
 
     def cohomology_at(self, i: int, k: int | None = None) -> _DegreeCohomology:
@@ -404,23 +420,12 @@ class CohomologyEngine:
         self._require_homogeneous()
         cert = self.require_certificate()
         n = cert.formal_dimension
-        kmax = self.max_length()
-        h = [[self.strand(i, k).dim for k in range(kmax + 1)] for i in range(n + 1)]
-        e_top = 0
-        for k in range(kmax, -1, -1):
-            if any(h[i][k] for i in range(n + 1)):
-                e_top = k
-                break
-        h = [row[: e_top + 1] for row in h]
-        n_k: list[int | None] = []
-        N_k: list[int | None] = []
-        for k in range(e_top + 1):
-            hit = [i for i in range(n + 1) if h[i][k]]
-            n_k.append(hit[0] if hit else None)
-            N_k.append(hit[-1] if hit else None)
-        return BigradedTable(
-            tuple(tuple(row) for row in h), tuple(n_k), tuple(N_k), e_top, n
-        )
+        parts = [self.strands(i) for i in range(n + 1)]
+        e_top = max((k for p in parts for k, part in p.items() if part.dim), default=0)
+        h = tuple(tuple(p[k].dim if k in p else 0 for k in range(e_top + 1)) for p in parts)
+        hits = [[i for i in range(n + 1) if h[i][k]] for k in range(e_top + 1)]
+        return BigradedTable(h, tuple(hit[0] if hit else None for hit in hits),
+                             tuple(hit[-1] if hit else None for hit in hits), e_top, n)
 
 
 def engine_for(model: SullivanModel) -> CohomologyEngine:

@@ -23,6 +23,7 @@ changes a result.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -256,17 +257,21 @@ class Echelon:
         dup._labels = self._labels[:]
         return dup
 
-    def restrict(self, keep) -> "Echelon":
-        """The stored rows whose pivot satisfies keep, shared as in
-        `clone`; their labels are renumbered 0, 1, ... in label order."""
-        sub = Echelon()
-        kept = [j for j, p in enumerate(self._pivots) if keep(p)]
-        labels = sorted(self._labels[j] for j in kept if self._labels[j] is not None)
-        renumber = {label: n for n, label in enumerate(labels)}
-        sub._rows = [self._rows[j] for j in kept]
-        sub._pivots = [self._pivots[j] for j in kept]
-        sub._labels = [renumber.get(self._labels[j]) for j in kept]
-        return sub
+    def split(self, key) -> dict:
+        """The stored rows grouped by key(pivot) in one pass: one echelon
+        per key, rows shared as in `clone`, labels renumbered 0, 1, ... in
+        label order within each group."""
+        parts = defaultdict(Echelon)
+        for row, p, label in zip(self._rows, self._pivots, self._labels):
+            part = parts[key(p)]
+            part._rows.append(row)
+            part._pivots.append(p)
+            part._labels.append(label)
+        for part in parts.values():
+            labels = sorted(x for x in part._labels if x is not None)
+            renumber = {label: n for n, label in enumerate(labels)}
+            part._labels = [renumber.get(x) for x in part._labels]
+        return dict(parts)
 
     def _reduce(self, num: dict, scale: Fraction | None = None,
                 coeffs: dict | None = None) -> tuple[dict, Fraction | None]:

@@ -15,10 +15,14 @@ shift), with V = Lambda V and W the quotient Lambda W:
 
 One loop builds every map from this table; exactness is checked where
 consecutive maps meet.  Only the table and the images of j and of the
-connecting map (`_image_functions`) depend on the sequence.  Nodes are
-materialized in degrees 0..i_max; above the formal dimensions every
-group vanishes for elliptic models, so exactness up to there is a
-complete verification.
+connecting map (`_image_functions`) depend on the sequence.  The grid
+is degrees 0..i_max by word lengths 0..k_max; above the formal
+dimensions every group vanishes for elliptic models, so exactness up to
+there is a complete verification.  Only nonzero groups and the maps out
+of them are stored, and verdicts are given at nonzero nodes only: at a
+zero node the incoming rank and the outgoing kernel are 0 and every
+composite through it vanishes, so it is exact by dimension.
+`nodes_checked` counts the (node, role) checks of the whole grid.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class DimensionRelationVerdict:
 class LesReport:
     kind: str
     bigraded: bool
-    nodes: tuple[NodeVerdict, ...]
+    nodes: tuple[NodeVerdict, ...]  # the nonzero nodes
+    nodes_checked: int  # grid checks, zero nodes (exact by dimension) included
     all_exact: bool
     dimension_relation: DimensionRelationVerdict | None = None
 
@@ -176,8 +181,12 @@ def _image_functions(kind: str, model: SullivanModel, quotient: SullivanModel):
     return images
 
 
-def _lengths(k_max: int | None) -> list[int | None]:
-    return [None] if k_max is None else list(range(0, k_max + 1))
+def _nonzero_parts(engine, i: int, k_max: int | None) -> dict:
+    """{k: H^i_k} for the lengths k <= k_max where it is nonzero, in
+    length order; {None: H^i} ungraded, when nonzero."""
+    if k_max is None:
+        return {None: engine.full(i)} if engine.full(i).dim else {}
+    return {k: part for k, part in sorted(engine.strands(i).items()) if part.dim and k <= k_max}
 
 
 def build_wang(model: SullivanModel, bigraded: bool | None = None,
@@ -232,19 +241,18 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
     dims: dict[NodeKey, int] = {}
     maps: dict[tuple[str, int, int | None], LesMap] = {}
     for i in range(0, i_max + 1):
-        for k in _lengths(k_max):
-            reps = {group: eng.cohomology_at(i, k).reps for group, eng in engines.items()}
-            for group, group_reps in reps.items():
-                dims[(group, i, k)] = len(group_reps)
-            for arrow in cycle:
-                ti = i + arrow.shift
-                if ti > i_max:
-                    continue
+        parts = {group: _nonzero_parts(eng, i, k_max) for group, eng in engines.items()}
+        dims.update(((group, i, k), part.dim) for group in parts for k, part in parts[group].items())
+        for arrow in cycle:
+            ti = i + arrow.shift
+            if ti > i_max:
+                continue
+            image = images[arrow.name]
+            for k, part in parts[arrow.source].items():
                 tk = None if k is None else k + arrow.length_shift
-                image = images[arrow.name]
                 maps[(arrow.name, i, k)] = LesMap(
                     arrow.name, (arrow.source, i, k), (arrow.target, ti, tk),
-                    _classes_matrix([image(chi, i) for chi in reps[arrow.source]],
+                    _classes_matrix([image(chi, i) for chi in part.reps],
                                     engines[arrow.target], ti, tk),
                 )
 
@@ -263,7 +271,8 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
 
 
 def _node_checks(les: LesData):
-    """Yield (node, role, incoming map key, outgoing map key).
+    """Yield (node, role, incoming map key, outgoing map key) at every
+    nonzero node, in (degree, length, role) order.
 
     The node between two consecutive maps of the cycle is the target of
     the first and the source of the second; every node of every chain of
@@ -271,11 +280,12 @@ def _node_checks(les: LesData):
     (kind, source i, source k)."""
     cycle = _cycle(les.kind, les.x1_degree, les.l)
     pairs = tuple(zip(cycle, cycle[1:] + cycle[:1]))
-    for i in range(0, les.i_max + 1):
-        for k in _lengths(les.k_max):
-            for into, out in pairs:
+    for i, k in sorted({(i, k) for (_, i, k), dim in les.dims.items() if dim}):
+        for into, out in pairs:
+            node = (out.source, i, k)
+            if les.dim(node):
                 in_k = None if k is None else k - into.length_shift
-                yield ((out.source, i, k), f"{into.name}->{out.name}",
+                yield (node, f"{into.name}->{out.name}",
                        (into.name, i - into.shift, in_k), (out.name, i, k))
 
 
@@ -286,50 +296,34 @@ def _position_label(les: LesData, node: NodeKey) -> str:
 
 
 def check_exactness(les: LesData, node_filter=None) -> LesReport:
-    """Exactness at every materialized node: rank(incoming) = dim
-    ker(outgoing) and the composite vanishes; failures carry a witness
-    class vector from ker(outgoing) not reached by the incoming map.
-    Each map's rank is computed once, for its source and target nodes."""
+    """Exactness at every nonzero node (zero nodes are exact by
+    dimension): rank(incoming) = dim ker(outgoing) and the composite
+    vanishes; failures carry a witness class vector from ker(outgoing)
+    not reached by the incoming map.  Each map's rank is computed once,
+    for its source and target nodes."""
+    ranks = {}
+    for key, lmap in les.maps.items():
+        mat = lmap.matrix
+        if (mat.rows, mat.cols) != (les.dim(lmap.target), les.dim(lmap.source)):
+            raise InternalInvariantError(
+                f"map {key} is {mat.rows}x{mat.cols} between nodes of dimension "
+                f"{les.dim(lmap.source)} -> {les.dim(lmap.target)}"
+            )
+        ranks[key] = rank(mat)
     verdicts = []
-    ranks: dict = {}
     for node, role, in_key, out_key in _node_checks(les):
-        dim = les.dim(node)
         if node_filter is not None and not node_filter(node):
             continue
-        in_map = les.maps.get(in_key)
-        out_map = les.maps.get(out_key)
-        in_mat = in_map.matrix if in_map is not None else RatMatrix(dim, 0)
-        out_mat = out_map.matrix if out_map is not None else RatMatrix(0, dim)
-        if in_mat.rows != dim or out_mat.cols != dim:
-            raise InternalInvariantError(
-                f"map dimensions disagree with node {node}: "
-                f"in {in_mat.rows}, out {out_mat.cols}, node {dim}"
-            )
-        for key, lmap in ((in_key, in_map), (out_key, out_map)):
-            if key not in ranks:
-                ranks[key] = 0 if lmap is None else rank(lmap.matrix)
-        rank_in = ranks[in_key]
-        kernel_out = dim - ranks[out_key]
-        composite_ok = True
-        if in_map is not None and out_map is not None:
-            composite_ok = matmul(out_mat, in_mat).is_zero()
+        dim = les.dim(node)
+        in_mat = les.maps[in_key].matrix if in_key in les.maps else RatMatrix(dim, 0)
+        out_mat = les.maps[out_key].matrix if out_key in les.maps else RatMatrix(0, dim)
+        rank_in = ranks.get(in_key, 0)
+        kernel_out = dim - ranks.get(out_key, 0)
+        composite_ok = matmul(out_mat, in_mat).is_zero()
         exact = composite_ok and rank_in == kernel_out
-        witness = None
-        if not exact:
-            witness = _exactness_witness(in_mat, out_mat)
-        verdicts.append(
-            NodeVerdict(
-                position=_position_label(les, node),
-                node=node,
-                role=role,
-                dim=dim,
-                rank_in=rank_in,
-                kernel_out=kernel_out,
-                composite_zero=composite_ok,
-                exact=exact,
-                witness=witness,
-            )
-        )
+        verdicts.append(NodeVerdict(
+            _position_label(les, node), node, role, dim, rank_in, kernel_out, composite_ok,
+            exact, witness=None if exact else _exactness_witness(in_mat, out_mat)))
     try:
         relation = _dimension_relation(les.model, les.quotient)
     except NotEllipticError:
@@ -338,6 +332,7 @@ def check_exactness(les: LesData, node_filter=None) -> LesReport:
         kind=les.kind,
         bigraded=les.bigraded,
         nodes=tuple(verdicts),
+        nodes_checked=3 * (les.i_max + 1) * (1 if les.k_max is None else les.k_max + 1),
         all_exact=all(v.exact for v in verdicts),
         dimension_relation=relation,
     )
@@ -362,29 +357,20 @@ def corrupt_connecting_sign(les: LesData) -> LesData:
     of a basis vector would leave every kernel and image unchanged).
     Raises when no connecting column mixes classes."""
     connecting = _cycle(les.kind, les.x1_degree, les.l)[2].name
-    for key in sorted(les.maps, key=_map_sort_key):
-        if key[0] != connecting:
-            continue
+    # the first in (degree, length) order; k is None on every key or on none
+    for key in sorted(key for key in les.maps if key[0] == connecting):
         lmap = les.maps[key]
         mat = lmap.matrix
         for c in range(mat.cols):
-            col = [(r, mat.entry(r, c)) for r in range(mat.rows) if mat.entry(r, c)]
-            if len(col) >= 2:
-                r0 = col[0][0]
-                entries = {
-                    (r, cc): v for (r, cc), v in mat._entries.items()
-                }
-                entries[(r0, c)] = -entries[(r0, c)]
+            rows = [r for r in range(mat.rows) if mat.entry(r, c)]
+            if len(rows) >= 2:
+                entries = dict(mat._entries)
+                entries[(rows[0], c)] = -entries[(rows[0], c)]
                 new_map = replace(lmap, matrix=RatMatrix(mat.rows, mat.cols, entries))
                 return replace(les, maps={**les.maps, key: new_map})
     raise ValueError(
         "no connecting-map column mixes two classes; sign corruption would be invisible"
     )
-
-
-def _map_sort_key(key):
-    kind, i, k = key
-    return (kind, i, -1 if k is None else k)
 
 
 def _dimension_relation(model: SullivanModel, quotient: SullivanModel) -> DimensionRelationVerdict:

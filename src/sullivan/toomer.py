@@ -25,7 +25,8 @@ elimination per degree, not one per (degree, cutoff).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import Polynomial, word_length
 from .cohomology import (
@@ -121,9 +122,16 @@ class ToomerReport:
     cat0: int  # = e0 under the ellipticity certificate
     spectrum: tuple[int, ...]  # mu_k, k = 0..e0
     gaps: tuple[int, ...]
-    per_class: tuple[tuple[int, ...], ...]  # e0 of each class, per degree 1..N
     filtration: ToomerFiltration
     total_h_plus: int
+    model: SullivanModel = field(repr=False, compare=False)
+
+    @cached_property
+    def per_class(self) -> tuple[tuple[int, ...], ...]:
+        """e0 of each class, per degree 1..N, computed on first read."""
+        classes = engine_for(self.model).classes
+        return tuple(tuple(toomer_of_class(self.model, cls) for cls in classes(i))
+                     for i in range(1, self.filtration.formal_dimension + 1))
 
 
 def toomer_of_class(model: SullivanModel, x: CohomologyClass) -> int:
@@ -156,10 +164,6 @@ def e0_spectrum(model: SullivanModel) -> ToomerReport:
     for k in range(1, e0 + 1):
         spectrum.append(filt.total(k - 1) - filt.total(k))
     gaps = tuple(k for k in range(1, e0 + 1) if spectrum[k] == 0)
-    per_class = tuple(
-        tuple(toomer_of_class(model, cls) for cls in engine.classes(i))
-        for i in range(1, n_top + 1)
-    )
     total_h_plus = sum(engine.betti(i) for i in range(1, n_top + 1))
     if sum(spectrum[1:]) != total_h_plus:
         raise InternalInvariantError(
@@ -170,9 +174,9 @@ def e0_spectrum(model: SullivanModel) -> ToomerReport:
         cat0=e0,
         spectrum=tuple(spectrum),
         gaps=gaps,
-        per_class=per_class,
         filtration=filt,
         total_h_plus=total_h_plus,
+        model=model,
     )
     return report
 

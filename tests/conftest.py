@@ -41,6 +41,52 @@ def pow_model(n: int, k: int):
     return make_model(gens, diffs, name=f"pow({n},{k})")
 
 
+def theta_model(seed: int, params: RandomModelParams):
+    """A random model with a nonzero Wang connecting map theta*.
+
+    The pure elliptic model `random_elliptic_model(seed, params)` (its
+    first generator even, of degree 2) gets an odd cocycle u of degree 3
+    in front, two free odd cocycles a1, a2 of degree 3 and an odd b with
+    d b = u*a, a = x^(l-2) (c1 a1 + c2 a2) for a random even generator x
+    of the base and c1, c2 in {-2, -1, 1, 2}.  Then d^2 = 0, the model is
+    homogeneous of length l and elliptic (d b has no pure term, so the
+    associated pure model keeps the base's relations), and theta(b) = a
+    with [x^(l-2) a1], [x^(l-2) a2] independent, so theta* mixes two
+    classes.  With an empty base, l = 2 and c1 = c2 = 1 this is
+    Lambda(u, a, c, b), d b = u a + u c."""
+    assert not params.leading_odd_sphere
+    base = random_elliptic_model(seed, params)
+    rng = random.Random(seed)
+    evens = [g for g in base.generators if not g.is_odd]
+    x = rng.choice(evens)
+    c1, c2 = (rng.choice((-2, -1, 1, 2)) for _ in range(2))
+
+    def lift(m, u=0, a1=0, a2=0):
+        return (u,) + m + (a1, a2, 0)
+
+    power = tuple(params.l - 2 if g.index == x.index else 0 for g in base.generators)
+    gens = ([("u", 3)] + [(g.name, g.degree) for g in base.generators]
+            + [("a1", 3), ("a2", 3), ("b", 5 + x.degree * (params.l - 2))])
+    diffs = {g.name: {lift(m): c for m, c in base.d_of(g.index).items()}
+             for g in base.generators}
+    diffs["b"] = {lift(power, u=1, a1=1): c1, lift(power, u=1, a2=1): c2}
+    return make_model(gens, diffs, name=f"theta({seed},{params.n_even},{params.n_odd},{params.l})")
+
+
+THETA_SHAPES = [
+    RandomModelParams(n_even=1, n_odd=1, l=2),
+    RandomModelParams(n_even=1, n_odd=2, l=2),
+    RandomModelParams(n_even=2, n_odd=2, l=2),
+    RandomModelParams(n_even=1, n_odd=1, l=3),
+    RandomModelParams(n_even=1, n_odd=2, l=3),
+]
+
+
+def theta_corpus():
+    """One `theta_model` per shape in THETA_SHAPES."""
+    return [theta_model(2000 + j, params) for j, params in enumerate(THETA_SHAPES)]
+
+
 @pytest.fixture(scope="session")
 def random_corpus():
     """50 seeded random pure homogeneous elliptic models (criteria 2/3/4/6)."""

@@ -32,7 +32,7 @@ from sullivan.toomer import (
     toomer_of_class,
     toomer_via_fundamental_class,
 )
-from conftest import model_pool, poly_add, poly_degree, poly_scale, random_polynomial
+from conftest import model_pool, poly_add, poly_degree, poly_scale, random_polynomial, theta_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -147,14 +147,14 @@ def test_criterion_5_toomer_consistency(sweep_models):
 
 def test_criterion_6_wang_gysin_exactness(random_corpus):
     models = [m for m in library() if length_profile(m).is_homogeneous]
-    models += random_corpus
+    models += random_corpus + theta_corpus()  # theta_corpus: nonzero theta*
     nodes_total = 0
     for m in models:
         builder = build_wang if m.generators[0].is_odd else build_gysin
         les = builder(m)
         rep = check_exactness(les)
         assert rep.all_exact, m.name
-        nodes_total += len(rep.nodes)
+        nodes_total += rep.nodes_checked
         rel = formal_dimension_relation(m)
         assert rel.holds, m.name
         x1 = m.generators[0]
@@ -168,6 +168,11 @@ def test_criterion_6_wang_gysin_exactness(random_corpus):
     bad_report = check_exactness(bad)
     assert not bad_report.all_exact
     assert bad_report.failures[0].witness is not None
+    # ... and so must one on each random model with a nonzero theta*
+    for m in theta_corpus():
+        bad_report = check_exactness(corrupt_connecting_sign(build_wang(m)))
+        assert not bad_report.all_exact, m.name
+        assert bad_report.failures[0].witness is not None, m.name
     report(6, f"bigraded exactness at {nodes_total} nodes across "
               f"{len(models)} models, dimension relations exact, "
               f"corrupted theta* fails with witness")

@@ -1,5 +1,6 @@
 """Property tests: model text round-trips through the printer, and no
-model text makes the CLI end outside its documented exit codes."""
+model text or argument list makes the CLI end outside its documented
+exit codes."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ from sullivan.algebra import Generator, monomial_basis  # noqa: E402
 from sullivan.cli import main  # noqa: E402
 from sullivan.model import make_model  # noqa: E402
 from sullivan.parser import parse_model, print_model  # noqa: E402
+from sullivan.verifiers import ALL_THEOREMS  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -83,3 +85,58 @@ def test_fuzzed_model_text_exits_with_a_documented_code(model_path, text, comman
         code = main(command + ["--model", str(model_path)])
     assert code in (0, 2, 3, 4, 5)
 
+
+
+SUBCOMMANDS = ("validate", "cohomology", "bigraded", "toomer", "wang", "gysin",
+               "verify", "gap-scan", "library")
+# small library models, and names that do not parse or do not exist
+LIB_NAMES = ("sphere:2", "sphere:3", "cp:2", "heisenberg", "cpl-sphere:2,1", "mixed:1",
+             "cp:0", "sphere:x", "cpl-sphere:1", "nope", "")
+# stray options and words; none is a prefix of --out, so no file is written
+JUNK = st.sampled_from(("--bogus", "-q", "--ungraded", "--lib", "--count", "--format",
+                        "yaml", "7", "--")) | st.text(max_size=6).filter(
+                            lambda t: not t.startswith("-"))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with a random selection of its options, gap-scan kept
+    to at most two small models, and sometimes one junk token inserted
+    anywhere after the subcommand."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(sorted(ALL_THEOREMS) + ["all", "theorem9"])))
+    if command not in ("gap-scan", "library") and draw(st.integers(0, 3)):
+        argv += ["--lib", draw(st.sampled_from(LIB_NAMES))]
+    if command == "library" and draw(st.booleans()):
+        argv += ["--emit", draw(st.sampled_from(LIB_NAMES))]
+    if command in ("wang", "gysin") and draw(st.booleans()):
+        argv.append("--ungraded")
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("json", "text")))]
+    if draw(st.booleans()):
+        argv.append("--no-timestamp")
+    if command == "gap-scan":
+        argv += ["--count", str(draw(st.integers(-1, 2)))]
+        for flag, low, high in (("--evens", 0, 2), ("--odds", 0, 3), ("--length", 1, 3),
+                                ("--seed", 0, 9)):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(st.integers(low, high)))]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(JUNK))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@SETTINGS
+@given(argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(workdir, argv):
+    with contextlib.chdir(workdir), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5), argv

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import theta_corpus
 from test_cli_golden import MIXED_MODELS
 
 from sullivan.algebra import apply_derivation, multiply
 from sullivan.cohomology import engine_for
 from sullivan.library import get_model, library
-from sullivan.linalg import RatMatrix, rank
+from sullivan.linalg import RatMatrix, matmul, rank
 from sullivan.model import (
     QuotientError,
     RandomModelParams,
@@ -21,7 +22,10 @@ from sullivan.parser import parse_model
 from sullivan.sequences import (
     LesData,
     LesMap,
+    NodeVerdict,
+    _exactness_witness,
     _node_checks,
+    _position_label,
     build_gysin,
     build_wang,
     check_exactness,
@@ -271,11 +275,26 @@ def test_formal_dimension_relations():
     assert rel.n_total == 7 and rel.m_quotient == 8
 
 
-# -- cross-check against the two-branch construction ----------------------
+def test_random_theta_models_exercise_the_connecting_map():
+    # theta*[b] = c1 [x^(l-2) a1] + c2 [x^(l-2) a2]: a nonzero connecting map
+    # whose column mixes two classes, so a flipped sign breaks exactness
+    for model in theta_corpus():
+        for bigraded in (None, False):
+            les = build_wang(model, bigraded=bigraded)
+            assert check_exactness(les).all_exact, (model.name, bigraded)
+            assert any(not lmap.matrix.is_zero() for (kind, _, _), lmap in les.maps.items()
+                       if kind == "theta"), (model.name, bigraded)
+            report = check_exactness(corrupt_connecting_sign(les))
+            assert not report.all_exact, (model.name, bigraded)
+            assert report.failures[0].witness is not None
+
+
+# -- cross-check against the two-branch, full-grid construction ------------
 #
 # A test-only copy of the construction the three-map table replaced: one
-# hand-written branch per sequence for the maps and for the node checks.
-# The table must reproduce it map for map and node for node.
+# hand-written branch per sequence for the maps and for the node checks,
+# over every node of the grid, zero nodes included.  The sparse table must
+# reproduce its nonzero part map for map and node for node.
 
 
 def _reference_reps(engine, i, k):
@@ -403,11 +422,51 @@ def reference_node_checks(les):
                 yield (("V", i, k), "partial->j", ("partial", i + deg - 1, kml), ("j", i, k))
 
 
-def _corrupted_report(les):
+def reference_check_exactness(les):
+    """The full-grid exactness check: a verdict at every node of the grid,
+    in (degree, length, role) order, zero nodes included."""
+    verdicts = []
+    for node, role, in_key, out_key in reference_node_checks(les):
+        dim = les.dim(node)
+        in_map = les.maps.get(in_key)
+        out_map = les.maps.get(out_key)
+        in_mat = in_map.matrix if in_map is not None else RatMatrix(dim, 0)
+        out_mat = out_map.matrix if out_map is not None else RatMatrix(0, dim)
+        assert (in_mat.rows, out_mat.cols) == (dim, dim), node
+        rank_in = rank(in_mat)
+        kernel_out = dim - rank(out_mat)
+        composite_ok = matmul(out_mat, in_mat).is_zero()
+        exact = composite_ok and rank_in == kernel_out
+        verdicts.append(NodeVerdict(
+            position=_position_label(les, node), node=node, role=role, dim=dim,
+            rank_in=rank_in, kernel_out=kernel_out, composite_zero=composite_ok,
+            exact=exact, witness=None if exact else _exactness_witness(in_mat, out_mat),
+        ))
+    return verdicts
+
+
+def _assert_sparse_report_matches(got, want, where):
+    """check_exactness on the sparse data against the full-grid check on
+    the reference data: the same verdicts at the nonzero nodes, in order,
+    every zero-node verdict exact, and the grid size as nodes_checked."""
+    report = check_exactness(got)
+    full = reference_check_exactness(want)
+    assert report.nodes == tuple(v for v in full if v.dim), where
+    assert all(v.exact for v in full if not v.dim), where
+    assert report.nodes_checked == len(full), where
+    assert report.all_exact == all(v.exact for v in full), where
+    return report
+
+
+def _cross_check_corrupted(got, want, where):
     try:
-        return check_exactness(corrupt_connecting_sign(les))
-    except ValueError as err:  # no connecting column mixes classes
-        return str(err)
+        bad = corrupt_connecting_sign(got)
+    except ValueError:  # no connecting column mixes classes
+        with pytest.raises(ValueError):
+            corrupt_connecting_sign(want)
+        return
+    report = _assert_sparse_report_matches(bad, corrupt_connecting_sign(want), where)
+    assert not report.all_exact, where
 
 
 def _cross_check_models():
@@ -418,7 +477,7 @@ def _cross_check_models():
         n_even=1 + seed % 2, n_odd=2, l=3)) for seed in range(6)]
     models += [parse_model(text, name=name) for name, text in MIXED_MODELS.items()]
     models.append(parse_model(THETA_MIXING_MODEL, name="theta-mixing"))
-    return models
+    return models + theta_corpus()
 
 
 def test_three_map_table_matches_two_branch_construction():
@@ -436,10 +495,15 @@ def test_three_map_table_matches_two_branch_construction():
             where = (model.name, kind, bigraded)
             assert (got.bigraded, got.i_max, got.k_max) == (
                 want.bigraded, want.i_max, want.k_max), where
-            assert got.dims == want.dims, where
-            assert got.maps == want.maps, where
-            assert list(_node_checks(got)) == list(reference_node_checks(want)), where
-            assert check_exactness(got) == check_exactness(want), where
-            assert _corrupted_report(got) == _corrupted_report(want), where
+            assert got.dims == {node: d for node, d in want.dims.items() if d}, where
+            assert got.maps == {key: lmap for key, lmap in want.maps.items()
+                                if lmap.matrix.cols}, where
+            assert all(lmap.matrix.cols == 0 for key, lmap in want.maps.items()
+                       if key not in got.maps), where
+            assert list(_node_checks(got)) == [
+                check for check in reference_node_checks(want) if want.dim(check[0])], where
+            report = _assert_sparse_report_matches(got, want, where)
+            assert report.all_exact, where
+            _cross_check_corrupted(got, want, where)
             compared += 1
-    assert compared >= 40
+    assert compared >= 50
