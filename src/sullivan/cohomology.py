@@ -17,6 +17,11 @@ a row is only combined with stored rows whose pivot lies in its support,
 so the rows of length k are reduced exactly as a strand-only pass would.
 H^i is split into its strands in one pass, on the first request.
 
+The pairing reads one functional phi on C^N, the fundamental-class
+coordinate of reduction against the top echelon (0 on B^N, 1 on omega),
+built by back-substitution and checked on every top row once.  A class b
+of H^(N-i) gives psi(m) = phi(m b); each entry is one dot product with psi.
+
 Cochains are polynomials keyed by monomial everywhere: boundaries,
 cocycles and representatives go into `Echelon` as sparse rows with the
 monomials as column keys.  Since `monomial_basis` lists monomials in
@@ -28,12 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .algebra import (
     Monomial,
     Polynomial,
+    koszul_sign,
     monomial_basis,
-    multiply,
     poly_str,
     word_length,
 )
@@ -156,6 +162,7 @@ class CohomologyEngine:
         # B^i left by the build below, until H^i is built
         self._boundaries: dict[int, Echelon] = {}
         self._certificate: EllipticityCertificate | None = None
+        self._phi: dict[Monomial, Fraction] | None = None
         self._profile = length_profile(model)
 
     # -- bases and matrices ---------------------------------------------
@@ -300,8 +307,8 @@ class CohomologyEngine:
         N+1..N+max|x_even| forces vanishing in every higher degree, since
         a monomial there is some x_j times a monomial of degree > N.
 
-        Pairings are checked for i <= N/2: by graded commutativity
-        pd_pairing(N - i) = (-1)^(i(N-i)) pd_pairing(i)^T.
+        Pairings, read off one functional on C^N (module docstring), are
+        checked for i <= N/2: pd_pairing(N - i) = (-1)^(i(N-i)) pd_pairing(i)^T.
         """
         n_form = self.formal_dimension_formula()
         if n_form < 0:
@@ -378,7 +385,8 @@ class CohomologyEngine:
         return classes[0]
 
     def pd_pairing(self, i: int) -> tuple[RatMatrix, bool]:
-        """Matrix of H^i x H^(N-i) -> H^N = Q and its nondegeneracy flag.
+        """Matrix of H^i x H^(N-i) -> H^N = Q and its nondegeneracy flag:
+        entry (s, t) is phi(a_s b_t), a dual vector of b_t dotted with a_s.
 
         Used inside certification, so it must not require a certificate;
         it does require dim H^N = 1, which ellipticity guarantees."""
@@ -386,20 +394,28 @@ class CohomologyEngine:
         top = self.full(n)
         if top.dim != 1:
             raise InternalInvariantError(
-                f"dim H^{n} = {top.dim} != 1 at the formal dimension, pairing undefined"
-            )
-        left = self.classes(i)
-        right = self.classes(n - i)
-        entries = {}
-        for s, a in enumerate(left):
-            for t, b in enumerate(right):
-                prod = multiply(self.gens, a.representative, b.representative)
-                coord = top.coordinates(prod)
-                if coord[0]:
-                    entries[(s, t)] = coord[0]
-        mat = RatMatrix(len(left), len(right), entries)
-        ok = mat.rows == mat.cols and rank(mat) == mat.rows
-        return mat, ok
+                f"dim H^{n} = {top.dim} != 1 at the formal dimension, pairing undefined")
+        if self._phi is None:
+            phi = top.echelon.functional(0)
+            for p, row, label in top.echelon.items():
+                if sum(c * row[t] for t, c in phi.items() if t in row) != (label == 0) * row[p]:
+                    raise InternalInvariantError(
+                        f"integration on H^{n}: phi(B^{n}) != 0 or phi(omega) != 1")
+            self._phi = phi
+        duals = []
+        for b in self.full(n - i).reps:
+            psi: Polynomial = {}
+            for m2, c in b.items():
+                for t, f in self._phi.items():
+                    m = tuple(map(sub, t, m2))  # m * m2 = +-t
+                    if min(m, default=0) >= 0 and (sign := koszul_sign(self.gens, m, m2)):
+                        psi[m] = psi.get(m, 0) + (c * f if sign > 0 else -c * f)
+            duals.append(psi)
+        left = self.full(i).reps
+        mat = RatMatrix(len(left), len(duals), {
+            (s, t): sum(c * psi[m] for m, c in a.items() if m in psi)
+            for s, a in enumerate(left) for t, psi in enumerate(duals)})
+        return mat, mat.rows == mat.cols and rank(mat) == mat.rows
 
     # -- tables ----------------------------------------------------------
 

@@ -273,6 +273,20 @@ class Echelon:
             part._labels = [renumber.get(x) for x in part._labels]
         return dict(parts)
 
+    def items(self):  # (pivot, primitive integer row, label), in pivot order
+        return zip(self._pivots, self._rows, self._labels)
+
+    def functional(self, label) -> dict:
+        """{pivot: f(pivot)} for the linear f(row) = the coefficient reducing row
+        collects on the row labelled `label`, zero off these keys: back from the
+        last pivot, f(p) = [R labelled] - sum_(k != p) R[k] f(k), R monic."""
+        f: dict = {}
+        for p, row, lab in reversed(list(self.items())):
+            v = (lab == label) * row[p] - sum(c * row[k] for k, c in f.items() if k in row)
+            if v:
+                f[p] = Fraction(v, row[p])
+        return f
+
     def _reduce(self, num: dict, scale: Fraction | None = None,
                 coeffs: dict | None = None) -> tuple[dict, Fraction | None]:
         """Reduce the primitive integer row num against the stored rows,

@@ -224,6 +224,19 @@ def test_internal_error_exit_5(monkeypatch, capsys):
     assert "synthetic breach" in doc["error"]
 
 
+def test_corrupted_integration_functional_exits_5(monkeypatch, capsys):
+    from sullivan.linalg import Echelon
+
+    functional = Echelon.functional
+    # drop one support monomial of phi: its row no longer integrates right
+    monkeypatch.setattr(Echelon, "functional",
+                        lambda self, label: dict(list(functional(self, label).items())[1:]))
+    assert main(["cohomology", "--lib", "example-5gen"]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["internal invariant breach: integration on H^7: "
+                     "phi(B^7) != 0 or phi(omega) != 1"]
+
+
 def test_exit_code_contract_documented():
     assert cli.EXIT_OK == 0
     assert cli.EXIT_USAGE == 2

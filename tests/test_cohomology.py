@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from sullivan.algebra import multiply
 from sullivan.cohomology import (
+    InternalInvariantError,
     NotEllipticError,
     NotHomogeneousError,
     _DegreeCohomology,
@@ -21,7 +23,7 @@ from sullivan.cohomology import (
     pd_pairing,
 )
 from sullivan.library import get_model, library
-from sullivan.linalg import Echelon, RatMatrix, kernel_basis, matmul
+from sullivan.linalg import Echelon, RatMatrix, kernel_basis, matmul, rank
 from sullivan.model import (
     RandomModelParams,
     length_profile,
@@ -31,7 +33,7 @@ from sullivan.model import (
 )
 from sullivan.parser import parse_model
 
-from conftest import pow_model
+from conftest import pow_model, theta_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -281,6 +283,60 @@ def test_pd_pairing_nondegenerate_everywhere(random_corpus):
             assert dual == RatMatrix(mat.cols, mat.rows, {
                 (t, s): sign * mat.entry(s, t)
                 for s in range(mat.rows) for t in range(mat.cols)}), f"{m.name} degree {i}"
+
+
+def reference_pd_pairing(engine, i):
+    """The per-product pairing that the integration functional replaced,
+    kept as a cross-check reference: multiply every pair of
+    representatives and read the fundamental-class coordinate of the
+    product off a reduction against the whole top-degree echelon."""
+    n = engine.formal_dimension_formula()
+    top = engine.full(n)
+    left, right = engine.full(i).reps, engine.full(n - i).reps
+    entries = {}
+    for s, a in enumerate(left):
+        for t, b in enumerate(right):
+            coord = top.coordinates(multiply(engine.gens, a, b))
+            if coord[0]:
+                entries[(s, t)] = coord[0]
+    mat = RatMatrix(len(left), len(right), entries)
+    return mat, mat.rows == mat.cols and rank(mat) == mat.rows
+
+
+def test_pd_pairing_matches_per_product_reference(random_corpus):
+    """The dual-vector pairing equals the per-product one, matrix and
+    flag, in every degree 0..N of every certified model here, the model
+    with no generators (its monomials are empty tuples) included."""
+    models = (library() + random_corpus + theta_corpus() + [make_model([])]
+              + [pow_model(3, 3), pow_model(4, 3), pow_model(3, 4)])
+    compared = 0
+    for m in models:
+        engine = engine_for(m)
+        if not engine.certify().ok:
+            continue
+        n = engine.formal_dimension_formula()
+        for i in range(n + 1):
+            assert engine.pd_pairing(i) == reference_pd_pairing(engine, i), (m.name, i)
+            compared += 1
+    assert compared == 661
+
+
+def test_corrupted_integration_functional_is_an_internal_error(monkeypatch):
+    """phi is checked once on every top-degree row: a phi that misses a
+    support monomial, or is shifted at a coboundary's pivot, raises."""
+    functional = Echelon.functional
+    model = get_model("example-5gen")
+    n = formal_dimension_formula(model)
+    boundary_pivot = next(p for p, _, label in engine_for(model).full(n).echelon.items()
+                          if label is None)
+    corruptions = [
+        lambda phi: dict(list(phi.items())[1:]),
+        lambda phi: {**phi, boundary_pivot: phi.get(boundary_pivot, 0) + 1},
+    ]
+    for corrupt in corruptions:
+        monkeypatch.setattr(Echelon, "functional", lambda self, label: corrupt(functional(self, label)))
+        with pytest.raises(InternalInvariantError, match=r"phi\(B\^7\) != 0 or phi\(omega\) != 1"):
+            certify_elliptic(get_model("example-5gen"))
 
 
 def test_bigraded_profile_5gen_extremes():
