@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 Monomial = tuple[int, ...]
 Polynomial = dict[Monomial, Fraction]
@@ -108,21 +109,21 @@ def multiply(gens, p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def apply_derivation(gens, deriv: Derivation, p: Polynomial) -> Polynomial:
-    if len(p) == 1 and 1 in p.values():  # one monomial, as the differential matrices ask
-        return _derive_monomial(gens, deriv, next(iter(p)))
-    out: Polynomial = {}
+    if not p:
+        return {}
+    table = LeibnizTable(gens, deriv)
+    out: dict[Monomial, int | Fraction] = {}
     for m, c in p.items():
-        for m_out, c_out in _derive_monomial(gens, deriv, m).items():
-            s = out.get(m_out, 0) + c * c_out
-            if s:
-                out[m_out] = s
-            else:
-                out.pop(m_out, None)
-    return out
+        for key, v in table.image(m).items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: Fraction(v) for key, v in out.items() if v}
 
 
-def _derive_monomial(gens, deriv: Derivation, m: Monomial) -> Polynomial:
-    """Leibniz expansion of D on one canonical monomial, in closed form:
+class LeibnizTable:
+    """A derivation D on monomials, from its values read once: the parity
+    of each generator and, for each generator x_i, the terms c*u of D(x_i)
+    with the odd positions of u (gathered on first use).  `image(m)` is
+    the Leibniz expansion in closed form:
 
         D(x^a) = sum_i (-1)^(shift*|x_1^a_1...x_(i-1)^a_(i-1)|) a_i x^(a-e_i) D(x_i)
 
@@ -131,39 +132,58 @@ def _derive_monomial(gens, deriv: Derivation, m: Monomial) -> Polynomial:
     sign of u*x^(a-e_i), with L = x_1^a_1...x_i^(a_i-1) the factors that
     stood before it; the Koszul sign counts the odd-odd inversions
     between u and x^(a-e_i), and a shared odd generator kills the term.
-    Signs and multiplicities are integers, applied once per term, and
-    integer coefficients are summed as integers.
+    Signs and multiplicities are integers, and coefficients stay ints
+    where D's are integers: an image holds a Fraction only where some
+    value of D has a non-integer coefficient.
     """
-    odd = [g.degree & 1 for g in gens]
-    shift = deriv.degree_shift & 1
-    # below[p]: odd generators of m with index < p
-    below = [0] * (len(m) + 1)
-    for p, e in enumerate(m):
-        below[p + 1] = below[p] + (1 if e and odd[p] else 0)
-    out: dict[Monomial, int | Fraction] = {}
-    for i, a in enumerate(m):
-        dv = deriv.values[i] if a else None
-        if not dv:
-            continue
-        before = below[i]  # odd factors of x_1^a_1...x_(i-1)^a_(i-1)
-        drop_odd = odd[i]  # x^(a-e_i) loses the odd generator x_i
-        w = list(m)
-        w[i] -= 1
-        for u, c in dv.items():
-            flips = shift * before
-            u_odd = 0
-            for p, e in enumerate(u):
-                if e and odd[p]:
-                    if w[p]:
+
+    __slots__ = ("_odd", "_shift", "_values", "_terms")
+
+    def __init__(self, gens, deriv: Derivation):
+        self._odd = [g.degree & 1 for g in gens]
+        self._shift = deriv.degree_shift & 1
+        self._values = deriv.values
+        self._terms: list[list | None] = [None] * len(deriv.values)
+
+    def _terms_of(self, i: int) -> list:
+        """(u, odd positions of u, how many lie after an odd x_i, c) per
+        term c*u of D(x_i)."""
+        odd = self._odd
+        terms = []
+        for u, c in self._values[i].items():
+            odds = [p for p, e in enumerate(u) if e and odd[p]]
+            after = sum(p > i for p in odds) if odd[i] else 0
+            terms.append((u, odds, after, c.numerator if c.denominator == 1 else c))
+        self._terms[i] = terms
+        return terms
+
+    def image(self, m: Monomial) -> dict[Monomial, int | Fraction]:
+        """D(m) as a sparse row with no zero entries."""
+        odd, values = self._odd, self._values
+        # below[p]: odd generators of m with index < p
+        below = [0] * (len(m) + 1)
+        for p, e in enumerate(m):
+            below[p + 1] = below[p] + (1 if e and odd[p] else 0)
+        out: dict[Monomial, int | Fraction] = {}
+        for i, a in enumerate(m):
+            if not (a and values[i]):
+                continue
+            before = below[i]  # odd factors of x_1^a_1...x_(i-1)^a_(i-1)
+            lead = before + (1 if a > 1 and odd[i] else 0)
+            base = self._shift * before
+            w = list(m)
+            w[i] -= 1
+            for u, odds, after, c in self._terms[i] or self._terms_of(i):
+                flips = base - after
+                for p in odds:
+                    if w[p]:  # u shares an odd generator with x^(a-e_i)
                         break
-                    u_odd += 1
-                    flips += below[p] - (drop_odd and i < p)
-            else:
-                flips += u_odd * (before + (1 if a > 1 and odd[i] else 0))
-                key = tuple(x + y for x, y in zip(w, u))
-                k = -a if flips & 1 else a
-                out[key] = out.get(key, 0) + k * (c.numerator if c.denominator == 1 else c)
-    return {key: Fraction(c) for key, c in out.items() if c}
+                    flips += below[p]
+                else:
+                    flips += len(odds) * lead
+                    key = tuple(map(add, w, u))
+                    out[key] = out.get(key, 0) + (-a * c if flips & 1 else a * c)
+        return {key: c for key, c in out.items() if c}
 
 
 def monomial_basis(gens, degree: int) -> list[Monomial]:

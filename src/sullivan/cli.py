@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -503,7 +504,15 @@ def main(argv=None) -> int:
             print(f"error: cannot write --out {out}: {err.strerror}")
             return EXIT_USAGE
     else:
-        print(rendered)
+        try:
+            print(rendered)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout (`| head`): send what is left, and the
+            # flush at interpreter exit, to devnull instead of raising again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

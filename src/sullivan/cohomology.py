@@ -4,7 +4,10 @@ the exact ellipticity decision, fundamental class and the
 Poincare-duality pairing.
 
 Bases, monomial differentials and the cohomology of each degree are
-memoized on a per-model engine.  Degrees are built upward, each by one
+memoized on a per-model engine.  The engine reads the differential once
+into a `LeibnizTable` and keeps each image d(m) as a sparse row of ints
+(Fractions only where the model has a non-integer coefficient), which
+goes into elimination as it is.  Degrees are built upward, each by one
 `reduce_rows` pass over the images d(m) of its basis monomials in basis
 order: the relations among the images are the cocycles, and their span
 is the next degree's boundaries.  Each relation is the unique one
@@ -15,7 +18,9 @@ A strand H^i_k of a homogeneous model is the word-length-k part of H^i,
 not a build of its own: each image d(m) has word length wl(m) + l - 1 and
 a row is only combined with stored rows whose pivot lies in its support,
 so the rows of length k are reduced exactly as a strand-only pass would.
-H^i is split into its strands in one pass, on the first request.
+H^i is split into its strands in one pass, on the first request.  Each
+representative of H^i lies in one strand, which is also what the Toomer
+filtration of a homogeneous model is read from (see `toomer`).
 
 The pairing reads one functional phi on C^N, the fundamental-class
 coordinate of reduction against the top echelon (0 on B^N, 1 on omega),
@@ -36,6 +41,7 @@ from fractions import Fraction
 from operator import sub
 
 from .algebra import (
+    LeibnizTable,
     Monomial,
     Polynomial,
     koszul_sign,
@@ -155,7 +161,8 @@ class CohomologyEngine:
         self.model = model
         self.gens = model.generators
         self._basis: dict[int, list[Monomial]] = {}
-        self._dmono: dict[Monomial, Polynomial] = {}
+        self._leibniz = LeibnizTable(self.gens, model.differential)
+        self._rows: dict[Monomial, dict] = {}
         self._full: dict[int, _DegreeCohomology] = {}
         self._strand: dict[tuple[int, int], _DegreeCohomology] = {}
         self._split: dict[int, dict[int, _DegreeCohomology]] = {}
@@ -175,12 +182,17 @@ class CohomologyEngine:
     def strand_basis(self, i: int, k: int) -> list[Monomial]:
         return [m for m in self.basis(i) if word_length(m) == k]
 
+    def d_row(self, m: Monomial) -> dict:
+        """d(m) as a sparse row of ints (Fractions only where the model has
+        a non-integer coefficient), memoized; callers must not change it."""
+        row = self._rows.get(m)
+        if row is None:
+            row = self._rows[m] = self._leibniz.image(m)
+        return row
+
     def d_mono(self, m: Monomial) -> Polynomial:
-        val = self._dmono.get(m)
-        if val is None:
-            val = self.model.d({m: Fraction(1)})
-            self._dmono[m] = val
-        return val
+        """d(m) as a polynomial: a Fraction copy of `d_row`, not cached."""
+        return {m2: Fraction(c) for m2, c in self.d_row(m).items()}
 
     def d_matrix(self, i: int, k: int | None = None) -> RatMatrix:
         """Differential matrix out of degree i (word-length-k strand when
@@ -194,7 +206,7 @@ class CohomologyEngine:
         dst_index = {m: r for r, m in enumerate(dst)}
         entries = {}
         for j, m in enumerate(src):
-            for m2, c in self.d_mono(m).items():
+            for m2, c in self.d_row(m).items():
                 entries[(dst_index[m2], j)] = c
         return RatMatrix(len(dst), len(src), entries)
 
@@ -214,7 +226,7 @@ class CohomologyEngine:
         basis = self.basis(i)
         ech = self._boundaries.pop(i, None) or Echelon()  # none below degree 0
         image, relations = reduce_rows(
-            [self.d_mono(m) for m in basis], [(_TAG, j) for j in range(len(basis))]
+            [self.d_row(m) for m in basis], [(_TAG, j) for j in range(len(basis))]
         )
         self._boundaries[i + 1] = image
         reps = []

@@ -11,7 +11,9 @@ stored rows in pivot order, a row's pivot being its smallest key.
 also returns the relations among them; `rank`, `kernel_basis` and
 `solve_membership` are that reduction over a matrix's columns.
 Inside, elimination is fraction-free: each row is scaled to a primitive
-integer row (denominators cleared, content divided out), rows are
+integer row (denominators cleared, content divided out; a row given in
+ints, as the cochain layer gives its images d(m), has no denominators
+to clear and enters with no Fraction built), rows are
 combined by cross-multiplication and made primitive again, and only the
 rows handed out are divided by their pivots.  No floating point and no
 modular arithmetic anywhere.  Rows are reduced in the order given, so
@@ -107,9 +109,13 @@ class RatMatrix:
 def _primitive(row: dict) -> dict:
     """The primitive integer row proportional to a sparse rational (or
     integer) row: denominators cleared, zeros dropped, content divided
-    out."""
-    den = lcm(*[v.denominator for v in row.values()])
-    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
+    out.  A row of ints has no denominators to clear."""
+    vals = row.values()
+    if set(map(type, vals)) <= {int}:
+        ints = dict(row) if 0 not in vals else {j: v for j, v in row.items() if v}
+    else:
+        den = lcm(*[v.denominator for v in vals])
+        ints = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
     if not ints:
         return {}
     g = gcd(*ints.values())

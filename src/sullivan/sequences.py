@@ -227,11 +227,13 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
 
     l = profile.l
     if i_max is None:
-        cert_v = eng_v.require_certificate()
-        cert_w = eng_w.require_certificate()
-        i_max = max(cert_v.formal_dimension, cert_w.formal_dimension) + x1.degree + 1
+        # the certificates make H^i of each group zero above its formal dimension
+        top = {"V": eng_v.require_certificate().formal_dimension,
+               "W": eng_w.require_certificate().formal_dimension}
+        i_max = max(top.values()) + x1.degree + 1
         max_len = max(eng_v.max_length(), eng_w.max_length())
     else:
+        top = {"V": i_max, "W": i_max}
         max_len = i_max // model.min_degree
     k_max = max_len + l if bigraded else None
 
@@ -241,7 +243,8 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
     dims: dict[NodeKey, int] = {}
     maps: dict[tuple[str, int, int | None], LesMap] = {}
     for i in range(0, i_max + 1):
-        parts = {group: _nonzero_parts(eng, i, k_max) for group, eng in engines.items()}
+        parts = {group: _nonzero_parts(eng, i, k_max) if i <= top[group] else {}
+                 for group, eng in engines.items()}
         dims.update(((group, i, k), part.dim) for group in parts for k, part in parts[group].items())
         for arrow in cycle:
             ti = i + arrow.shift

@@ -21,12 +21,21 @@ Lambda^(>n) V) is the number of added rows whose pivot is longer than n.
 This is the persistence reduction for the filtration by word length
 (Edelsbrunner-Letscher-Zomorodian 2002; Zomorodian-Carlsson 2005): one
 elimination per degree, not one per (degree, cutoff).
+
+On a homogeneous model, the paper's setting, the filtration needs no
+elimination at all: it is read off the word-length strands.  Let d have
+length l and x be a nonzero class of H^i_k.  If x = z + dw with z in
+Lambda^(>k) V, the length-k part gives x = d(w_(k-l+1)), so x = 0 in
+H_k, a contradiction; hence e0(x) = k.  The same argument on its
+shortest strand gives e0 of any class, so K_n^i is the sum of the
+H^i_k with k > n.  `e0_spectrum` takes that path there; the
+length-keyed echelon serves mixed-length models and `toomer_of_class`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .algebra import Polynomial, word_length
 from .cohomology import (
@@ -35,8 +44,8 @@ from .cohomology import (
     InternalInvariantError,
     engine_for,
 )
-from .linalg import Echelon
-from .model import SullivanModel
+from .linalg import Echelon, reduce_rows
+from .model import SullivanModel, length_profile
 
 
 def _by_length(p: Polynomial) -> dict:
@@ -58,10 +67,9 @@ class QuotientComplex:
         """The echelon of B^i, columns keyed (word length, monomial), cached."""
         got = self._deg.get(i)
         if got is None:
-            got = Echelon()
-            for m in self.engine.basis(i - 1):
-                got.add(_by_length(self.engine.d_mono(m)))
-            self._deg[i] = got
+            d_row = self.engine.d_row
+            got = self._deg[i] = reduce_rows(
+                [_by_length(d_row(m)) for m in self.engine.basis(i - 1)])[0]
         return got
 
     def level(self, i: int, p: Polynomial) -> int | None:
@@ -82,8 +90,20 @@ class QuotientComplex:
         if not reps:
             return (0,)
         probe = self.degree_data(i).clone()
-        lengths = [min(probe.add(_by_length(rep)))[0] for rep in reps]
-        return tuple(sum(k > n for k in lengths) for n in range(max(lengths) + 1))
+        return _dims_above([min(probe.add(_by_length(rep)))[0] for rep in reps])
+
+
+def _dims_above(lengths: list[int]) -> tuple[int, ...]:
+    """dim K_n^i = #{e0 > n} for n = 0, 1, ..., ending at its first 0,
+    from the e0 values of a basis of H^i."""
+    return tuple(sum(k > n for k in lengths) for n in range(max(lengths, default=-1) + 1)) or (0,)
+
+
+def _strand_kernel_dim(engine: CohomologyEngine, i: int) -> tuple[int, ...]:
+    """`QuotientComplex.kernel_dim` of a homogeneous model, with no
+    elimination: each representative of H^i lies in one strand H^i_k
+    (`CohomologyEngine.strands`), and a class of H^i_k has e0 = k."""
+    return _dims_above([word_length(next(iter(rep))) for rep in engine.full(i).reps])
 
 
 def _quotients(engine: CohomologyEngine) -> QuotientComplex:
@@ -157,8 +177,11 @@ def e0_spectrum(model: SullivanModel) -> ToomerReport:
     if report is not None:
         return report
     n_top = engine.require_certificate().formal_dimension
-    qc = _quotients(engine)
-    filt = ToomerFiltration(tuple(qc.kernel_dim(i) for i in range(1, n_top + 1)), n_top)
+    if length_profile(model).is_homogeneous:
+        kernel_dim = partial(_strand_kernel_dim, engine)
+    else:
+        kernel_dim = _quotients(engine).kernel_dim
+    filt = ToomerFiltration(tuple(kernel_dim(i) for i in range(1, n_top + 1)), n_top)
     e0 = filt.e0
     spectrum = [1]  # mu_0: the unit class
     for k in range(1, e0 + 1):

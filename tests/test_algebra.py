@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 
 from sullivan.algebra import (
     Derivation,
     Generator,
+    LeibnizTable,
     apply_derivation,
     koszul_sign,
     monomial_basis,
@@ -13,7 +15,18 @@ from sullivan.algebra import (
     poly_str,
     word_length,
 )
-from conftest import model_pool, poly_add, poly_degree, poly_scale, random_polynomial
+from sullivan.cohomology import engine_for
+from sullivan.library import library
+from sullivan.model import make_model
+from conftest import (
+    model_pool,
+    poly_add,
+    poly_degree,
+    poly_scale,
+    pow_model,
+    random_polynomial,
+    theta_corpus,
+)
 
 
 def gens_of(*specs):
@@ -300,6 +313,9 @@ def test_closed_form_leibniz_matches_recursive_reference():
         p = random_polynomial(rng, gens, n_terms=rng.randint(1, 4))
         got = apply_derivation(gens, deriv, p)
         assert got == _recursive_apply(gens, deriv, p), (specs, deriv, p)
+        table = LeibnizTable(gens, deriv)
+        for m in p:
+            assert table.image(m) == _recursive_derive_monomial(gens, deriv, m), (specs, deriv, m)
         # count the terms the odd-square rule dropped: a value sharing an
         # odd generator with the rest of its monomial
         for m in p:
@@ -311,3 +327,37 @@ def test_closed_form_leibniz_matches_recursive_reference():
                         for u in deriv.values[i] for j in range(len(m))
                     )
     assert odd_squares > 100
+
+
+def _rescaled(model):
+    """The pure model with d(y) scaled by 1/2 and -2/3 in turn over its odd
+    generators y: still d^2 = 0, now with non-integer coefficients."""
+    scales = cycle((Fraction(1, 2), Fraction(-2, 3)))
+    diffs = {y.name: {m: c * next(scales) for m, c in model.d_of(y.index).items()}
+             for y in model.odd_generators}
+    return make_model([(g.name, g.degree) for g in model.generators], diffs,
+                      name=f"{model.name}-rescaled")
+
+
+def test_engine_images_match_model_d_and_recursive_reference(random_corpus):
+    # the engine's integer rows d(m) on every basis monomial of degrees
+    # 0..N+1: equal to the Fraction polynomial of model.d and to the
+    # recursive Leibniz reference, ints unless a coefficient is not integral
+    models = (library() + random_corpus + theta_corpus() + [pow_model(3, 3)]
+              + [_rescaled(m) for m in random_corpus[:12]])
+    rational_rows = 0
+    for model in models:
+        gens, d = model.generators, model.differential
+        engine = engine_for(model)
+        integral = all(c.denominator == 1 for value in d.values for c in value.values())
+        for i in range(max(engine.formal_dimension_formula(), 0) + 2):
+            for m in engine.basis(i):
+                row = engine.d_row(m)
+                assert row == model.d({m: 1}) == _recursive_derive_monomial(gens, d, m), (
+                    model.name, m)
+                assert engine.d_mono(m) == row
+                assert all(type(c) is Fraction for c in engine.d_mono(m).values())
+                whole = all(type(c) is int for c in row.values())
+                assert whole or not integral, (model.name, m)
+                rational_rows += not whole
+    assert rational_rows > 100

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +257,21 @@ def test_unknown_model_message_is_not_quoted(capsys):
     out = capsys.readouterr().out.strip()
     assert out.startswith("error: unknown library model 'mixed:9'; available: ")
     assert not out.endswith(('"', "'"))
+
+
+def test_closed_stdout_keeps_exit_code_without_traceback():
+    # the report (about 300 KB) is more than a pipe holds, so the command is
+    # still writing when the reader goes away after the first line
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sullivan.cli", "gap-scan", "--count", "1000",
+         "--evens", "1", "--odds", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""

@@ -14,7 +14,7 @@ from sullivan.cohomology import (
 from sullivan.library import get_model, library
 from sullivan.linalg import Echelon, RatMatrix, matmul
 from sullivan.model import length_profile, make_model
-from sullivan.parser import parse_model
+from sullivan.parser import parse_model, print_model
 from sullivan.toomer import (
     QuotientComplex,
     e0_spectrum,
@@ -23,7 +23,7 @@ from sullivan.toomer import (
     toomer_of_class,
     toomer_via_fundamental_class,
 )
-from conftest import poly_add, pow_model
+from conftest import poly_add, pow_model, theta_corpus
 
 
 def test_odd_sphere_fundamental_class():
@@ -327,6 +327,42 @@ def test_filtered_reduction_matches_per_cutoff_reference(random_corpus):
                     assert (qc.projects_to_boundary(i, cls.representative, n)
                             == ref.quotient(n).projects_to_boundary(i, cls.representative)
                             == (n < value)), (m.name, i, n)
+
+
+def test_strand_read_spectrum_matches_filtered_reduction(random_corpus):
+    # on a homogeneous model e0_spectrum reads the filtration off the strands;
+    # the filtered reduction of QuotientComplex.kernel_dim is the reference
+    models = library() + random_corpus + theta_corpus() + [pow_model(3, 3), pow_model(4, 3)]
+    checked = 0
+    for model in models:
+        if not length_profile(model).is_homogeneous:
+            continue
+        m = parse_model(print_model(model), name=model.name)  # an engine of its own
+        engine = engine_for(m)
+        if not engine.certify().ok:
+            continue
+        report = e0_spectrum(m)
+        # no second elimination of B^i behind the strand reading
+        assert not hasattr(engine, "_toomer_quotients"), m.name
+        n_top = report.filtration.formal_dimension
+        qc = QuotientComplex(engine)
+        dims = tuple(qc.kernel_dim(i) for i in range(1, n_top + 1))
+        e0 = max(len(row) - 1 for row in dims)
+
+        def total(n):
+            return sum(row[n] if n < len(row) else 0 for row in dims)
+
+        spectrum = (1,) + tuple(total(k - 1) - total(k) for k in range(1, e0 + 1))
+        assert report.filtration.dims == dims, m.name
+        assert report.e0_algebra == report.filtration.e0 == e0, m.name
+        assert report.spectrum == spectrum, m.name
+        assert report.gaps == tuple(k for k, mu in enumerate(spectrum) if not mu), m.name
+        # a class of H^i_k has e0 = k
+        assert report.per_class == tuple(
+            tuple(cls.word_length for cls in engine.classes(i)) for i in range(1, n_top + 1)
+        ), m.name
+        checked += 1
+    assert checked >= 60
 
 
 def quotient_d_matrix(qc, i):
