@@ -12,15 +12,21 @@ goes into elimination as it is.  Degrees are built upward, each by one
 order: the relations among the images are the cocycles, and their span
 is the next degree's boundaries.  Each relation is the unique one
 between an image and the earlier independent images, so the cocycles
-are the reduced-echelon kernel basis of the differential.
+are the reduced-echelon kernel basis of the differential.  H^i takes
+cocycles only until it holds dim Z^i - dim B^i representatives; every
+later one would come back dependent.
 
-A strand H^i_k of a homogeneous model is the word-length-k part of H^i,
-not a build of its own: each image d(m) has word length wl(m) + l - 1 and
-a row is only combined with stored rows whose pivot lies in its support,
-so the rows of length k are reduced exactly as a strand-only pass would.
-H^i is split into its strands in one pass, on the first request.  Each
-representative of H^i lies in one strand, which is also what the Toomer
-filtration of a homogeneous model is read from (see `toomer`).
+A strand H^i_k of a homogeneous model is a label slice of H^i, not a
+build of its own: each image d(m) has word length wl(m) + l - 1 and a
+row is only combined with stored rows whose pivot lies in its support,
+so every row of H^i's echelon is homogeneous, and a length-k cochain
+meets exactly the length-k rows, in the order a strand-only pass would
+store them.  A strand keeps the basis monomials and representatives of
+length k and the H^i labels of those representatives, and shares H^i's
+one echelon; its coordinates refuse a term of another length before
+reducing.  Each representative of H^i lies in one strand, which is also
+what the Toomer values of a homogeneous model are read from (see
+`toomer`).
 
 The pairing reads one functional phi on C^N, the fundamental-class
 coordinate of reduction against the top echelon (0 on B^N, 1 on omega),
@@ -128,28 +134,34 @@ class EllipticityCertificate:
 
 
 class _DegreeCohomology:
-    """H at one degree: canonical representatives and the echelon
-    structure used to put arbitrary cocycles into class coordinates."""
+    """H at one degree, or one word-length strand of it: canonical
+    representatives and the echelon structure used to put arbitrary
+    cocycles into class coordinates.  A strand shares the echelon of H^i;
+    `labels` are the H^i labels of its representatives."""
 
-    __slots__ = ("degree", "basis", "reps", "echelon")
+    __slots__ = ("degree", "basis", "reps", "echelon", "labels", "length")
 
-    def __init__(self, degree, basis, reps, echelon):
+    def __init__(self, degree, basis, reps, echelon, labels=None, length=None):
         self.degree = degree
         self.basis = basis  # cochain monomials, ascending
         self.reps = reps  # representative cocycles, one polynomial per class
-        self.echelon = echelon  # boundaries (unlabelled) + reps (labelled 0..dim-1)
+        self.echelon = echelon  # boundaries (unlabelled) + reps of H^i (labelled 0..)
+        self.labels = range(len(reps)) if labels is None else labels
+        self.length = length  # the strand's word length; None for all of H^i
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
     def coordinates(self, p: Polynomial) -> Vector:
-        residual, coeffs = self.echelon.reduce_with_coeffs(p)
-        if residual:
-            raise InternalInvariantError(
-                f"cochain in degree {self.degree} is not a cocycle modulo boundaries"
-            )
-        return tuple(coeffs.get(s, Fraction(0)) for s in range(self.dim))
+        # a strand refuses a term of another length before reducing
+        if self.length is None or all(word_length(m) == self.length for m in p):
+            residual, coeffs = self.echelon.reduce_with_coeffs(p)
+            if not residual:
+                return tuple(coeffs.get(s, Fraction(0)) for s in self.labels)
+        raise InternalInvariantError(
+            f"cochain in degree {self.degree} is not a cocycle modulo boundaries"
+        )
 
 
 class CohomologyEngine:
@@ -190,10 +202,6 @@ class CohomologyEngine:
             row = self._rows[m] = self._leibniz.image(m)
         return row
 
-    def d_mono(self, m: Monomial) -> Polynomial:
-        """d(m) as a polynomial: a Fraction copy of `d_row`, not cached."""
-        return {m2: Fraction(c) for m2, c in self.d_row(m).items()}
-
     def d_matrix(self, i: int, k: int | None = None) -> RatMatrix:
         """Differential matrix out of degree i (word-length-k strand when
         k is given; homogeneous models only)."""
@@ -229,8 +237,11 @@ class CohomologyEngine:
             [self.d_row(m) for m in basis], [(_TAG, j) for j in range(len(basis))]
         )
         self._boundaries[i + 1] = image
+        dim = len(relations) - ech.rank  # dim Z^i - dim B^i
         reps = []
         for rel in relations:
+            if len(reps) == dim:
+                break  # H^i is complete: every later cocycle is dependent
             cocycle = {basis[j]: c for (_, j), c in rel.items()}
             row = ech.add(cocycle, label=len(reps))
             if row is not None:
@@ -252,26 +263,29 @@ class CohomologyEngine:
         self._require_homogeneous()
         got = self._strand.get((i, k))
         if got is None:
-            got = self.strands(i).get(k) or _DegreeCohomology(i, [], [], Echelon())
+            got = self.strands(i).get(k) or _DegreeCohomology(
+                i, [], [], self.full(i).echelon, [], k)
             self._strand[(i, k)] = got
         return got
 
     def strands(self, i: int) -> dict[int, _DegreeCohomology]:
         """{k: H^i_k} for every length k of a basis monomial, from one pass
-        over H^i; each part's labels are renumbered in H^i order."""
+        over H^i; each part shares H^i's echelon and keeps the H^i labels
+        of its representatives."""
         self._require_homogeneous()
         got = self._split.get(i)
         if got is None:
             whole = self.full(i)
-            echelons = whole.echelon.split(word_length)
             got = self._split[i] = {}
             for m in whole.basis:
                 k = word_length(m)
                 if k not in got:
-                    got[k] = _DegreeCohomology(i, [], [], echelons.get(k) or Echelon())
+                    got[k] = _DegreeCohomology(i, [], [], whole.echelon, [], k)
                 got[k].basis.append(m)
-            for rep in whole.reps:  # each rep is homogeneous, in a basis length
-                got[word_length(next(iter(rep)))].reps.append(rep)
+            for label, rep in enumerate(whole.reps):  # each rep is homogeneous
+                part = got[word_length(next(iter(rep)))]
+                part.reps.append(rep)
+                part.labels.append(label)
         return got
 
     def cohomology_at(self, i: int, k: int | None = None) -> _DegreeCohomology:

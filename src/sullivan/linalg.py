@@ -25,7 +25,6 @@ changes a result.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -262,22 +261,6 @@ class Echelon:
         dup._pivots = self._pivots[:]
         dup._labels = self._labels[:]
         return dup
-
-    def split(self, key) -> dict:
-        """The stored rows grouped by key(pivot) in one pass: one echelon
-        per key, rows shared as in `clone`, labels renumbered 0, 1, ... in
-        label order within each group."""
-        parts = defaultdict(Echelon)
-        for row, p, label in zip(self._rows, self._pivots, self._labels):
-            part = parts[key(p)]
-            part._rows.append(row)
-            part._pivots.append(p)
-            part._labels.append(label)
-        for part in parts.values():
-            labels = sorted(x for x in part._labels if x is not None)
-            renumber = {label: n for n, label in enumerate(labels)}
-            part._labels = [renumber.get(x) for x in part._labels]
-        return dict(parts)
 
     def items(self):  # (pivot, primitive integer row, label), in pivot order
         return zip(self._pivots, self._rows, self._labels)

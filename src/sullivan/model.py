@@ -13,6 +13,7 @@ from .algebra import (
     Monomial,
     Polynomial,
     apply_derivation,
+    monomial_basis,
     monomial_degree,
     poly,
     poly_str,
@@ -329,6 +330,7 @@ def _sample_pure(rng, params: RandomModelParams, seed: int, attempt: int) -> Sul
         spec_gens.append(("u", 1 + 2 * rng.randint(1, 2)))
     spec_gens += [(f"x{i + 1}", even_degrees[i]) for i in range(params.n_even)]
 
+    evens = [Generator(i, f"x{i + 1}", d) for i, d in enumerate(even_degrees)]
     diffs: dict[str, Polynomial] = {}
     odd_names = []
     for j in range(params.n_odd):
@@ -339,7 +341,7 @@ def _sample_pure(rng, params: RandomModelParams, seed: int, attempt: int) -> Sul
         # target degree: a random length-l monomial in the evens fixes it
         picks = [rng.randrange(params.n_even) for _ in range(params.l)]
         target = sum(even_degrees[i] for i in picks)
-        candidates = _even_monomials(even_degrees, target, params.l)
+        candidates = [m for m in monomial_basis(evens, target) if word_length(m) == params.l]
         coeffs = {}
         for mono in candidates:
             c = rng.randint(-2, 2)
@@ -363,24 +365,3 @@ def _sample_pure(rng, params: RandomModelParams, seed: int, attempt: int) -> Sul
         diffs[name] = dy
     label = f"random(seed={seed},attempt={attempt})"
     return make_model(spec_gens, diffs, name=label)
-
-
-def _even_monomials(degrees, target: int, length: int) -> list[Monomial]:
-    """Exponent tuples over the even generators with given total degree
-    and word length."""
-    n = len(degrees)
-    out = []
-
-    def rec(idx, remaining_deg, remaining_len, prefix):
-        if idx == n:
-            if remaining_deg == 0 and remaining_len == 0:
-                out.append(tuple(prefix))
-            return
-        cap = min(remaining_deg // degrees[idx], remaining_len)
-        for e in range(cap + 1):
-            prefix.append(e)
-            rec(idx + 1, remaining_deg - e * degrees[idx], remaining_len - e, prefix)
-            prefix.pop()
-
-    rec(0, target, length, [])
-    return out

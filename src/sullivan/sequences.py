@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Polynomial, apply_derivation, multiply
-from .cohomology import InternalInvariantError, NotEllipticError, engine_for
+from .cohomology import InternalInvariantError, engine_for
 from .linalg import RatMatrix, kernel_basis, matmul, rank, solve_membership
 from .model import (
     QuotientError,
@@ -99,7 +99,7 @@ class LesReport:
     nodes: tuple[NodeVerdict, ...]  # the nonzero nodes
     nodes_checked: int  # grid checks, zero nodes (exact by dimension) included
     all_exact: bool
-    dimension_relation: DimensionRelationVerdict | None = None
+    dimension_relation: DimensionRelationVerdict
 
     @property
     def failures(self) -> tuple[NodeVerdict, ...]:
@@ -189,30 +189,26 @@ def _nonzero_parts(engine, i: int, k_max: int | None) -> dict:
     return {k: part for k, part in sorted(engine.strands(i).items()) if part.dim and k <= k_max}
 
 
-def build_wang(model: SullivanModel, bigraded: bool | None = None,
-               i_max: int | None = None) -> LesData:
+def build_wang(model: SullivanModel, bigraded: bool | None = None) -> LesData:
     """Wang sequence data for an odd cocycle first generator.
 
-    Without an explicit i_max the model (and its quotient) must certify
-    elliptic, which makes the exactness check complete; passing i_max
-    checks a finite stretch of the sequence on any valid model."""
+    The model and its quotient must certify elliptic, which makes the
+    exactness check complete."""
     x1 = model.generators[0]
     if not x1.is_odd:
         raise QuotientError(f"Wang sequence needs an odd first generator, {x1.name} is even")
-    return _build(model, "wang", bigraded, i_max)
+    return _build(model, "wang", bigraded)
 
 
-def build_gysin(model: SullivanModel, bigraded: bool | None = None,
-                i_max: int | None = None) -> LesData:
+def build_gysin(model: SullivanModel, bigraded: bool | None = None) -> LesData:
     """Gysin sequence data for an even cocycle first generator."""
     x1 = model.generators[0]
     if x1.is_odd:
         raise QuotientError(f"Gysin sequence needs an even first generator, {x1.name} is odd")
-    return _build(model, "gysin", bigraded, i_max)
+    return _build(model, "gysin", bigraded)
 
 
-def _build(model: SullivanModel, kind: str, bigraded: bool | None,
-           i_max: int | None = None) -> LesData:
+def _build(model: SullivanModel, kind: str, bigraded: bool | None) -> LesData:
     profile = length_profile(model)
     if bigraded is None:
         bigraded = profile.is_homogeneous
@@ -226,16 +222,11 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None,
     eng_w = engine_for(quotient)
 
     l = profile.l
-    if i_max is None:
-        # the certificates make H^i of each group zero above its formal dimension
-        top = {"V": eng_v.require_certificate().formal_dimension,
-               "W": eng_w.require_certificate().formal_dimension}
-        i_max = max(top.values()) + x1.degree + 1
-        max_len = max(eng_v.max_length(), eng_w.max_length())
-    else:
-        top = {"V": i_max, "W": i_max}
-        max_len = i_max // model.min_degree
-    k_max = max_len + l if bigraded else None
+    # the certificates make H^i of each group zero above its formal dimension
+    top = {"V": eng_v.require_certificate().formal_dimension,
+           "W": eng_w.require_certificate().formal_dimension}
+    i_max = max(top.values()) + x1.degree + 1
+    k_max = max(eng_v.max_length(), eng_w.max_length()) + l if bigraded else None
 
     engines = {"V": eng_v, "W": eng_w}
     cycle = _cycle(kind, x1.degree, l)
@@ -298,7 +289,7 @@ def _position_label(les: LesData, node: NodeKey) -> str:
     return f"H^{i}_{k}({alg})" if k is not None else f"H^{i}({alg})"
 
 
-def check_exactness(les: LesData, node_filter=None) -> LesReport:
+def check_exactness(les: LesData) -> LesReport:
     """Exactness at every nonzero node (zero nodes are exact by
     dimension): rank(incoming) = dim ker(outgoing) and the composite
     vanishes; failures carry a witness class vector from ker(outgoing)
@@ -315,8 +306,6 @@ def check_exactness(les: LesData, node_filter=None) -> LesReport:
         ranks[key] = rank(mat)
     verdicts = []
     for node, role, in_key, out_key in _node_checks(les):
-        if node_filter is not None and not node_filter(node):
-            continue
         dim = les.dim(node)
         in_mat = les.maps[in_key].matrix if in_key in les.maps else RatMatrix(dim, 0)
         out_mat = les.maps[out_key].matrix if out_key in les.maps else RatMatrix(0, dim)
@@ -327,17 +316,13 @@ def check_exactness(les: LesData, node_filter=None) -> LesReport:
         verdicts.append(NodeVerdict(
             _position_label(les, node), node, role, dim, rank_in, kernel_out, composite_ok,
             exact, witness=None if exact else _exactness_witness(in_mat, out_mat)))
-    try:
-        relation = _dimension_relation(les.model, les.quotient)
-    except NotEllipticError:
-        relation = None  # explicit i_max on a model that is not elliptic
     return LesReport(
         kind=les.kind,
         bigraded=les.bigraded,
         nodes=tuple(verdicts),
         nodes_checked=3 * (les.i_max + 1) * (1 if les.k_max is None else les.k_max + 1),
         all_exact=all(v.exact for v in verdicts),
-        dimension_relation=relation,
+        dimension_relation=_dimension_relation(les.model, les.quotient),
     )
 
 

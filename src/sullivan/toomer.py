@@ -28,8 +28,11 @@ length l and x be a nonzero class of H^i_k.  If x = z + dw with z in
 Lambda^(>k) V, the length-k part gives x = d(w_(k-l+1)), so x = 0 in
 H_k, a contradiction; hence e0(x) = k.  The same argument on its
 shortest strand gives e0 of any class, so K_n^i is the sum of the
-H^i_k with k > n.  `e0_spectrum` takes that path there; the
-length-keyed echelon serves mixed-length models and `toomer_of_class`.
+H^i_k with k > n.  So on a homogeneous model the filtration is read
+from H^i alone: `e0_spectrum` counts the representatives of H^i by
+word length, and `toomer_of_class` gives the shortest length of a
+representative on which the class has a nonzero coordinate in H^i.
+The length-keyed echelon serves mixed-length models only.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def _by_length(p: Polynomial) -> dict:
 class QuotientComplex:
     """Every quotient Lambda V / Lambda^(>n) V of one engine at once,
     through one length-keyed echelon of B^i per degree (see the module
-    docstring)."""
+    docstring); `toomer` builds it for mixed-length models only."""
 
     def __init__(self, engine: CohomologyEngine):
         self.engine = engine
@@ -161,7 +164,13 @@ def toomer_of_class(model: SullivanModel, x: CohomologyClass) -> int:
     engine = engine_for(model)
     if x.degree == 0:
         return 0
-    level = _quotients(engine).level(x.degree, x.representative)
+    if length_profile(model).is_homogeneous:
+        whole = engine.full(x.degree)
+        coords = whole.coordinates(x.representative)
+        level = min((word_length(next(iter(rep))) for rep, c in zip(whole.reps, coords) if c),
+                    default=None)
+    else:
+        level = _quotients(engine).level(x.degree, x.representative)
     if level is None:
         raise InternalInvariantError(
             f"class in degree {x.degree} died in every quotient up to its degree; "

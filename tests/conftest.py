@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,11 @@ def pow_model(n: int, k: int):
     diffs = {f"y{i}": {tuple(k if j == i - 1 else 0 for j in range(2 * n)): 1}
              for i in range(1, n + 1)}
     return make_model(gens, diffs, name=f"pow({n},{k})")
+
+
+def d_mono(engine, m):
+    """d(m) as a polynomial: a Fraction copy of the engine's `d_row`."""
+    return {m2: Fraction(c) for m2, c in engine.d_row(m).items()}
 
 
 def theta_model(seed: int, params: RandomModelParams):
@@ -119,8 +125,6 @@ def random_monomial(rng: random.Random, gens, max_degree: int = 12):
 
 def random_polynomial(rng: random.Random, gens, n_terms: int = 3, homogeneous=False):
     """Random polynomial; homogeneous=True keeps all terms in one degree."""
-    from fractions import Fraction
-
     coeff_pool = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
     terms = {}
     if homogeneous:
@@ -139,8 +143,6 @@ def random_polynomial(rng: random.Random, gens, n_terms: int = 3, homogeneous=Fa
 
 def poly_scale(p, c):
     """c * p, with no zero coefficients stored."""
-    from fractions import Fraction
-
     c = Fraction(c)
     return {m: v * c for m, v in p.items()} if c else {}
 

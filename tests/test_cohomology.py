@@ -33,7 +33,7 @@ from sullivan.model import (
 )
 from sullivan.parser import parse_model
 
-from conftest import pow_model, theta_corpus
+from conftest import d_mono, pow_model, theta_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -146,6 +146,40 @@ def test_bigraded_even_sphere_strands():
     assert bigraded_cohomology(m, 2, 1)[0] == 1
     for i in range(0, 9):
         assert bigraded_cohomology(m, i, 2)[0] == 0
+
+
+def test_strand_coordinates_refuse_other_lengths():
+    # Lambda(u, x, y, a), dy = x^2: [u a] spans H^6 = H^6_2, and x^3 = d(x y)
+    # is a coboundary of length 3 in the same degree
+    m = make_model([("u", 3), ("x", 2), ("y", 3), ("a", 3)], {"y": {(0, 2, 0, 0): Fraction(1)}})
+    engine = engine_for(m)
+    ua, x3 = (1, 0, 0, 1), (0, 3, 0, 0)
+    strand = engine.strand(6, 2)
+    assert strand.reps == [{ua: 1}] and engine.full(6).reps == [{ua: 1}]
+    assert strand.coordinates({ua: Fraction(3)}) == (3,)
+    moved = {ua: Fraction(3), x3: Fraction(1)}
+    assert engine.full(6).coordinates(moved) == (3,)  # the shared echelon accepts it
+    assert engine.strand(6, 3).coordinates({x3: Fraction(2)}) == ()
+    for k, cochain in ((2, moved), (2, {x3: Fraction(1)}), (3, {ua: Fraction(1)})):
+        with pytest.raises(InternalInvariantError, match="not a cocycle modulo boundaries"):
+            engine.strand(6, k).coordinates(cochain)
+
+
+def test_strands_are_label_slices_of_h_i(homogeneous_library, random_corpus):
+    # every strand shares H^i's one echelon and names its reps by H^i labels
+    for m in homogeneous_library + random_corpus[:12]:
+        engine = engine_for(m)
+        for i in range(max(engine.formal_dimension_formula(), 0) + 2):
+            whole = engine.full(i)
+            parts = engine.strands(i)
+            labels = []
+            for k, part in parts.items():
+                assert part.echelon is whole.echelon, (m.name, i, k)
+                assert part.reps == [whole.reps[s] for s in part.labels], (m.name, i, k)
+                labels += part.labels
+            assert sorted(labels) == list(range(whole.dim)), (m.name, i)
+            empty = engine.strand(i, max(parts, default=0) + 1)
+            assert empty.dim == 0 and empty.echelon is whole.echelon, (m.name, i)
 
 
 def test_bigraded_5gen_length_dims():
@@ -502,7 +536,7 @@ def reference_build(engine, i, k=None):
             kk = k - (length_profile(engine.model).l - 1)
             prev = engine.strand_basis(i - 1, kk) if kk >= 0 else []
         for m in prev:
-            ech.add(engine.d_mono(m))
+            ech.add(d_mono(engine, m))
     reps = []
     for vec in kernel_basis(engine.d_matrix(i, k)):
         row = ech.add({basis[j]: c for j, c in enumerate(vec) if c}, label=len(reps))
@@ -542,7 +576,9 @@ def test_one_pass_build_matches_two_eliminations(random_corpus):
         engine = engine_for(m)
         n = engine.formal_dimension_formula()
         for i in range(n + 2):
-            assert_same_cohomology(m, engine.full(i), reference_build(engine, i), (m.name, i))
+            ref = reference_build(engine, i)
+            assert engine.full(i).echelon.rank == ref.echelon.rank, (m.name, i)
+            assert_same_cohomology(m, engine.full(i), ref, (m.name, i))
         if length_profile(m).is_homogeneous:
             engines, i_max, k_max = strand_range(engine)
             for eng in engines:

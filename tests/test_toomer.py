@@ -23,7 +23,7 @@ from sullivan.toomer import (
     toomer_of_class,
     toomer_via_fundamental_class,
 )
-from conftest import poly_add, pow_model, theta_corpus
+from conftest import d_mono, poly_add, pow_model, theta_corpus
 
 
 def test_odd_sphere_fundamental_class():
@@ -58,6 +58,21 @@ def test_zero_class_rejected():
     m = get_model("sphere:2")
     with pytest.raises(ValueError):
         toomer_of_class(m, CohomologyClass(2, {}))
+
+
+def test_coboundary_class_rejected():
+    # a nonzero coboundary is the zero class: no cutoff keeps it alive,
+    # on a homogeneous model (read from H^i) and on a mixed one
+    for name in ("example-5gen", "mixed:3"):
+        m = get_model(name)
+        engine = engine_for(m)
+        assert length_profile(m).is_homogeneous == (name == "example-5gen")
+        for i in range(1, engine.require_certificate().formal_dimension + 1):
+            for mono in engine.basis(i - 1):
+                cob = m.d({mono: Fraction(1)})
+                if cob:
+                    with pytest.raises(InternalInvariantError, match="died in every quotient"):
+                        toomer_of_class(m, CohomologyClass(i, cob))
 
 
 def test_algebra_even_sphere():
@@ -192,7 +207,7 @@ class ReferenceQuotient:
             if i >= 1:
                 for m in self.engine.basis(i - 1):
                     if word_length(m) <= self.cutoff:
-                        boundary = self.project(self.engine.d_mono(m))
+                        boundary = self.project(d_mono(self.engine, m))
                         if boundary:
                             got.add(boundary)
             self._deg[i] = got
@@ -342,7 +357,11 @@ def test_strand_read_spectrum_matches_filtered_reduction(random_corpus):
         if not engine.certify().ok:
             continue
         report = e0_spectrum(m)
-        # no second elimination of B^i behind the strand reading
+        per_class = report.per_class
+        for i in range(1, report.filtration.formal_dimension + 1):
+            for cls in engine.classes(i):
+                assert toomer_of_class(m, cls) == cls.word_length, (m.name, i)
+        # no second elimination of B^i behind the strand reading or the class values
         assert not hasattr(engine, "_toomer_quotients"), m.name
         n_top = report.filtration.formal_dimension
         qc = QuotientComplex(engine)
@@ -358,7 +377,7 @@ def test_strand_read_spectrum_matches_filtered_reduction(random_corpus):
         assert report.spectrum == spectrum, m.name
         assert report.gaps == tuple(k for k, mu in enumerate(spectrum) if not mu), m.name
         # a class of H^i_k has e0 = k
-        assert report.per_class == tuple(
+        assert per_class == tuple(
             tuple(cls.word_length for cls in engine.classes(i)) for i in range(1, n_top + 1)
         ), m.name
         checked += 1
@@ -373,7 +392,7 @@ def quotient_d_matrix(qc, i):
     index_next = {m: r for r, m in enumerate(basis_next)}
     entries = {}
     for col, mono in enumerate(basis):
-        for m2, c in qc.engine.d_mono(mono).items():
+        for m2, c in d_mono(qc.engine, mono).items():
             r = index_next.get(m2)
             if r is not None:
                 entries[(r, col)] = c
@@ -406,16 +425,16 @@ def test_projection_is_chain_map():
             for i in range(n + 1):
                 for mono in engine.basis(i):
                     truncated_d = {
-                        mm: c for mm, c in engine.d_mono(mono).items()
+                        mm: c for mm, c in d_mono(engine, mono).items()
                         if word_length(mm) <= cutoff
                     }
-                    assert qc.projects_to_boundary(i + 1, engine.d_mono(mono), cutoff)
+                    assert qc.projects_to_boundary(i + 1, d_mono(engine, mono), cutoff)
                     if word_length(mono) > cutoff:
                         # m dies under p_n, so its image must too
                         # (d raises length, so this holds automatically)
                         assert not truncated_d
                         continue
-                    assert ref.project(engine.d_mono(mono)) == truncated_d
+                    assert ref.project(d_mono(engine, mono)) == truncated_d
 
 
 def test_gap_scan_empty_corpus():
