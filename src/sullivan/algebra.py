@@ -4,12 +4,18 @@ Monomials are exponent tuples in generator-index order (the canonical
 form); polynomials are dicts mapping monomial -> Fraction with zero
 coefficients never stored.  All Koszul signs are computed at
 normalization time, never stored.
+
+Monomial bases come from a `BasisTable`: suffix lists per generator and
+degree, built iteratively from the last generator up, so no enumeration
+recurses per generator.  The table counts what it stores and refuses,
+with `WorkBudgetError`, to grow past a fixed cell budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 Monomial = tuple[int, ...]
@@ -186,35 +192,104 @@ class LeibnizTable:
         return {key: c for key, c in out.items() if c}
 
 
+# The cells a `BasisTable` may hold: about four times the 2.4 * 10^6 that
+# pow(6,3) (generators x_i of degree 2 and y_i with d y_i = x_i^3,
+# i = 1..6) needs through degree N + 2, and about 120 MB of tuples at the
+# 12 bytes a cell that table takes.
+BASIS_CELL_BUDGET = 10_000_000
+
+
+class WorkBudgetError(RuntimeError):
+    """Raised before a computation would grow past its fixed work budget."""
+
+
+class BasisTable:
+    """The monomial bases of one generator list, with no recursion.  Level
+    j, degree r holds the exponent tuples of generators j.. of total
+    degree r, in ascending lexicographic order; level j is built from
+    level j+1 with the exponent of generator j ascending (at most 1 for an
+    odd generator), and level 0 is the basis.  The table grows upward on
+    demand, one degree at a time across every level.
+
+    A tuple of level j has n - j cells.  Each list is counted before it is
+    built, and a degree that would take the table past
+    `BASIS_CELL_BUDGET` cells raises `WorkBudgetError` before any of its
+    lists is stored, so a refused degree leaves the table as it was.
+    """
+
+    __slots__ = ("_step", "_degrees", "_odd", "_levels", "cells")
+
+    def __init__(self, gens):
+        # every degree is a multiple of _step, and the table is kept in units
+        # of it (on even generators alone, odd degrees cost nothing)
+        self._step = gcd(*(g.degree for g in gens)) or 1
+        self._degrees = [g.degree // self._step for g in gens]
+        self._odd = [g.is_odd for g in gens]
+        self._levels: list[list] = [[] for _ in range(len(gens) + 1)]
+        self.cells = 0
+
+    def basis(self, degree: int) -> list[Monomial]:
+        """All canonical monomials of the given total degree, ascending;
+        the same list object on every call of a degree that has any."""
+        degree, rest = divmod(degree, self._step)
+        if degree < 0 or rest:
+            return []
+        first = self._levels[0]
+        while len(first) <= degree:
+            self._grow(len(first))
+        return first[degree]
+
+    def _grow(self, r: int):
+        levels, degrees, odd = self._levels, self._degrees, self._odd
+        n = len(levels) - 1
+        cells, got = self.cells, [()] if r == 0 else []
+        made = [got]  # degree r, from level n up
+        for j in range(n - 1, -1, -1):
+            parts = [got] + _higher(levels[j + 1], r, degrees[j], odd[j])
+            count = sum(map(len, parts))
+            cells += count * (n - j)
+            if cells > BASIS_CELL_BUDGET:
+                for k in range(j - 1, -1, -1):  # the rest of degree r, counted only
+                    count += sum(map(len, _higher(levels[k + 1], r, degrees[k], odd[k])))
+                    cells += count * (n - k)
+                raise WorkBudgetError(
+                    f"the monomial basis of degree {r * self._step} needs a table of "
+                    f"{cells} cells, over the work budget of {BASIS_CELL_BUDGET}"
+                )
+            if count:
+                got = []
+                for e, part in enumerate(parts):
+                    if part:
+                        head = (e,)
+                        got += [head + m for m in part]
+            else:
+                # an empty slot below level 0 shares the empty tuple: with many
+                # generators most slots are empty, and a list would cost 56 bytes
+                got = () if j else []
+            made.append(got)
+        for level, got in zip(reversed(levels), made):
+            level.append(got)
+        self.cells = cells
+
+
+def _higher(below: list, r: int, d: int, odd: bool) -> list:
+    """The lists of `below` (one level of a `BasisTable`) that a degree r
+    of the level above takes with exponent 1, 2, .. of its generator of
+    degree d: degrees r - d, r - 2d, .., or just r - d when it is odd."""
+    if r < d:
+        return []
+    return [below[r - d]] if odd else [below[t] for t in range(r - d, -1, -d)]
+
+
 def monomial_basis(gens, degree: int) -> list[Monomial]:
     """All canonical monomials of the given total degree, in ascending
-    lexicographic exponent order.
+    lexicographic exponent order, as a fresh list (from a one-off
+    `BasisTable`).
 
     The enumeration order is part of the public contract: stable
     representative cocycles depend on it.
     """
-    if degree < 0:
-        return []
-    n = len(gens)
-    out: list[Monomial] = []
-
-    def rec(idx: int, remaining: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(tuple(prefix + [0] * (n - idx)))
-            return
-        if idx == n:
-            return
-        g = gens[idx]
-        cap = remaining // g.degree
-        if g.is_odd:
-            cap = min(cap, 1)
-        for e in range(cap + 1):
-            prefix.append(e)
-            rec(idx + 1, remaining - e * g.degree, prefix)
-            prefix.pop()
-
-    rec(0, degree, [])
-    return out
+    return BasisTable(gens).basis(degree)
 
 
 def poly_str(gens, p: Polynomial) -> str:

@@ -4,9 +4,11 @@ Every report is built as a machine-readable tree first; the human
 rendering is derived from that tree, so no number exists only in prose.
 
 Exit codes: 0 pass, 2 usage (including an --out path that cannot be
-written), 3 validation failure, 4 theorem-verdict failure, 5 internal
-invariant breach or any other unexpected exception (one line naming the
-exception type, never a traceback).
+written), 3 validation failure or a model past the work budget (its
+monomial bases would outgrow `algebra.BASIS_CELL_BUDGET`), 4
+theorem-verdict failure, 5 internal invariant breach or any other
+unexpected exception (one line naming the exception type, never a
+traceback).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
+from .algebra import WorkBudgetError
 from .cohomology import (
     InternalInvariantError,
     NotEllipticError,
@@ -457,7 +460,7 @@ def _execute(args) -> tuple[int, dict]:
         return EXIT_USAGE, _document(args, {"error": str(err)}, [f"usage error: {err}"])
     except (ModelSyntaxError, ModelValidationError, UnknownModelError,
             QuotientError, NotEllipticError, NotHomogeneousError,
-            GenerationBudgetError, ModelFileError) as err:
+            GenerationBudgetError, ModelFileError, WorkBudgetError) as err:
         msg = str(err)
         return EXIT_VALIDATION, _document(args, {"error": msg}, [f"error: {msg}"])
     except InternalInvariantError as err:

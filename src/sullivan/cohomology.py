@@ -4,17 +4,19 @@ the exact ellipticity decision, fundamental class and the
 Poincare-duality pairing.
 
 Bases, monomial differentials and the cohomology of each degree are
-memoized on a per-model engine.  The engine reads the differential once
-into a `LeibnizTable` and keeps each image d(m) as a sparse row of ints
-(Fractions only where the model has a non-integer coefficient), which
-goes into elimination as it is.  Degrees are built upward, each by one
-`reduce_rows` pass over the images d(m) of its basis monomials in basis
-order: the relations among the images are the cocycles, and their span
-is the next degree's boundaries.  Each relation is the unique one
-between an image and the earlier independent images, so the cocycles
-are the reduced-echelon kernel basis of the differential.  H^i takes
-cocycles only until it holds dim Z^i - dim B^i representatives; every
-later one would come back dependent.
+memoized on a per-model engine.  The bases are level 0 of one
+`BasisTable`, grown upward as degrees are asked for; the certifier
+enumerates Q[V^even] from a table of its own.  The engine reads the
+differential once into a `LeibnizTable` and keeps each image d(m) as a
+sparse row of ints (Fractions only where the model has a non-integer
+coefficient), which goes into elimination as it is.  Degrees are built
+upward, each by one `reduce_rows` pass over the images d(m) of its basis
+monomials in basis order: the relations among the images are the
+cocycles, and their span is the next degree's boundaries.  Each relation
+is the unique one between an image and the earlier independent images,
+so the cocycles are the reduced-echelon kernel basis of the
+differential.  H^i takes cocycles only until it holds dim Z^i - dim B^i
+representatives; every later one would come back dependent.
 
 A strand H^i_k of a homogeneous model is a label slice of H^i, not a
 build of its own: each image d(m) has word length wl(m) + l - 1 and a
@@ -35,7 +37,7 @@ of H^(N-i) gives psi(m) = phi(m b); each entry is one dot product with psi.
 
 Cochains are polynomials keyed by monomial everywhere: boundaries,
 cocycles and representatives go into `Echelon` as sparse rows with the
-monomials as column keys.  Since `monomial_basis` lists monomials in
+monomials as column keys.  Since a basis lists its monomials in
 ascending order, a row's smallest monomial is its pivot, the same one
 dense elimination over the basis would pick.
 """
@@ -47,11 +49,11 @@ from fractions import Fraction
 from operator import sub
 
 from .algebra import (
+    BasisTable,
     LeibnizTable,
     Monomial,
     Polynomial,
     koszul_sign,
-    monomial_basis,
     poly_str,
     word_length,
 )
@@ -172,7 +174,7 @@ class CohomologyEngine:
             raise ValueError("model must be validated first")
         self.model = model
         self.gens = model.generators
-        self._basis: dict[int, list[Monomial]] = {}
+        self._bases = BasisTable(self.gens)
         self._leibniz = LeibnizTable(self.gens, model.differential)
         self._rows: dict[Monomial, dict] = {}
         self._full: dict[int, _DegreeCohomology] = {}
@@ -187,9 +189,7 @@ class CohomologyEngine:
     # -- bases and matrices ---------------------------------------------
 
     def basis(self, i: int) -> list[Monomial]:
-        if i not in self._basis:
-            self._basis[i] = monomial_basis(self.gens, i)
-        return self._basis[i]
+        return self._bases.basis(i)
 
     def strand_basis(self, i: int, k: int) -> list[Monomial]:
         return [m for m in self.basis(i) if word_length(m) == k]
@@ -370,21 +370,15 @@ class CohomologyEngine:
             if rel:
                 relations.append((y.degree + 1, rel))
         top = max((g.degree for g in evens), default=0)
-        bases: dict[int, list[Monomial]] = {}  # each degree enumerated once
-
-        def basis_of(b: int) -> list[Monomial]:
-            if b not in bases:
-                bases[b] = monomial_basis(evens, b)
-            return bases[b]
-
+        bases = BasisTable(evens)
         for n in range(n_form + 1, n_form + top + 1):
             span, _ = reduce_rows([
                 {tuple(a + b for a, b in zip(mult, m)): c for m, c in rel.items()}
-                for degree, rel in relations for mult in basis_of(n - degree)
+                for degree, rel in relations for mult in bases.basis(n - degree)
             ])
             pivots = set(span.pivots)
             # a monomial that is no row's pivot is outside the ideal's span
-            outside = next((m for m in basis_of(n) if m not in pivots), None)
+            outside = next((m for m in bases.basis(n) if m not in pivots), None)
             if outside is not None:
                 return (
                     f"Q[V^even]/(d_sigma V^odd) != 0 in degree {n} > N = {n_form}: "

@@ -8,12 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    BasisTable,
     Derivation,
     Generator,
     Monomial,
     Polynomial,
     apply_derivation,
-    monomial_basis,
     monomial_degree,
     poly,
     poly_str,
@@ -330,7 +330,7 @@ def _sample_pure(rng, params: RandomModelParams, seed: int, attempt: int) -> Sul
         spec_gens.append(("u", 1 + 2 * rng.randint(1, 2)))
     spec_gens += [(f"x{i + 1}", even_degrees[i]) for i in range(params.n_even)]
 
-    evens = [Generator(i, f"x{i + 1}", d) for i, d in enumerate(even_degrees)]
+    bases = BasisTable([Generator(i, f"x{i + 1}", d) for i, d in enumerate(even_degrees)])
     diffs: dict[str, Polynomial] = {}
     odd_names = []
     for j in range(params.n_odd):
@@ -341,7 +341,7 @@ def _sample_pure(rng, params: RandomModelParams, seed: int, attempt: int) -> Sul
         # target degree: a random length-l monomial in the evens fixes it
         picks = [rng.randrange(params.n_even) for _ in range(params.l)]
         target = sum(even_degrees[i] for i in picks)
-        candidates = [m for m in monomial_basis(evens, target) if word_length(m) == params.l]
+        candidates = [m for m in bases.basis(target) if word_length(m) == params.l]
         coeffs = {}
         for mono in candidates:
             c = rng.randint(-2, 2)

@@ -1,9 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from sullivan.algebra import monomial_basis, monomial_degree
+from sullivan.algebra import BasisTable, monomial_degree
 from sullivan.library import get_model, library
 from sullivan.model import RandomModelParams, length_profile, make_model, random_elliptic_model
 
@@ -109,14 +110,20 @@ def homogeneous_library(library_models):
     return [m for m in library_models if length_profile(m).is_homogeneous]
 
 
+@functools.cache
+def basis_table(gens) -> BasisTable:
+    """One basis table per generator tuple for the random helpers below."""
+    return BasisTable(gens)
+
+
 def random_monomial(rng: random.Random, gens, max_degree: int = 12):
     """A random valid monomial (odd exponents <= 1)."""
     degree = rng.randint(0, max_degree)
-    options = monomial_basis(gens, degree)
+    options = basis_table(gens).basis(degree)
     attempts = 0
     while not options and attempts < 8:
         degree = rng.randint(0, max_degree)
-        options = monomial_basis(gens, degree)
+        options = basis_table(gens).basis(degree)
         attempts += 1
     if not options:
         return (0,) * len(gens)
@@ -130,7 +137,7 @@ def random_polynomial(rng: random.Random, gens, n_terms: int = 3, homogeneous=Fa
     if homogeneous:
         first = random_monomial(rng, gens)
         degree = sum(e * g.degree for e, g in zip(first, gens))
-        options = monomial_basis(gens, degree)
+        options = basis_table(gens).basis(degree)
         for _ in range(n_terms):
             m = options[rng.randrange(len(options))]
             terms[m] = Fraction(coeff_pool[rng.randrange(len(coeff_pool))])

@@ -1,13 +1,20 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import cycle
+from pathlib import Path
 
 import pytest
 
 from sullivan.algebra import (
+    BasisTable,
     Derivation,
     Generator,
     LeibnizTable,
+    WorkBudgetError,
     apply_derivation,
     koszul_sign,
     monomial_basis,
@@ -102,6 +109,102 @@ def test_monomial_basis_order_is_frozen_contract():
     assert monomial_basis(gens, 2) == [(0, 0, 1), (1, 1, 0)]
     assert monomial_basis(gens, 3) == [(0, 1, 1), (1, 0, 1)]
     assert monomial_basis(gens, 4) == [(0, 0, 2), (1, 1, 1)]
+
+
+def reference_monomial_basis(gens, degree):
+    """The recursive enumerator `monomial_basis` used before the basis
+    table, one level per generator, kept as the order reference."""
+    if degree < 0:
+        return []
+    n = len(gens)
+    out = []
+
+    def rec(idx, remaining, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix + [0] * (n - idx)))
+            return
+        if idx == n:
+            return
+        g = gens[idx]
+        cap = remaining // g.degree
+        if g.is_odd:
+            cap = min(cap, 1)
+        for e in range(cap + 1):
+            prefix.append(e)
+            rec(idx + 1, remaining - e * g.degree, prefix)
+            prefix.pop()
+
+    rec(0, degree, [])
+    return out
+
+
+def test_basis_table_matches_recursive_reference():
+    # one table per generator list, grown in shuffled degree order, and the
+    # one-off `monomial_basis`, against the recursion, monomial for monomial
+    rng = random.Random(13)
+    cases = 0
+    for trial in range(250):
+        n = 0 if trial == 0 else rng.randint(0, 7)
+        gens = tuple(Generator(i, f"g{i}", rng.randint(1, 9)) for i in range(n))
+        table = BasisTable(gens)
+        degrees = list(range(-1, 20))
+        rng.shuffle(degrees)
+        for degree in degrees:
+            expected = reference_monomial_basis(gens, degree)
+            assert table.basis(degree) == expected, (gens, degree)
+            assert monomial_basis(gens, degree) == expected, (gens, degree)
+            cases += 1
+    assert cases == 250 * 21
+    assert BasisTable(()).basis(0) == [()] and BasisTable(()).basis(3) == []
+
+
+def test_basis_table_needs_no_recursion():
+    # 1,200 generators, with the recursion limit below the generator count
+    code = (
+        "import sys\n"
+        "from sullivan.algebra import BasisTable, Generator, monomial_basis\n"
+        "sys.setrecursionlimit(1000)\n"
+        "gens = [Generator(0, 'x', 2)] + [Generator(i, f'y{i}', 5) for i in range(1, 1200)]\n"
+        "table = BasisTable(gens)\n"
+        "zero = (0,) * 1199\n"
+        "for degree, lead in ((0, 0), (2, 1), (4, 2)):\n"
+        "    assert table.basis(degree) == [(lead,) + zero], degree\n"
+        "    assert monomial_basis(gens, degree) == [(lead,) + zero], degree\n"
+        "assert table.basis(1) == table.basis(3) == []\n"
+        "print('ok')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_basis_table_refuses_past_the_work_budget():
+    # 1,200 odd generators of degree 3: degree 3 alone needs about
+    # 5.8 * 10^8 cells; the refusal comes from counting, before any list
+    # of that degree is stored, and a smaller request still works
+    gens = [Generator(i, f"y{i}", 3) for i in range(1200)]
+    table = BasisTable(gens)
+    assert table.basis(0) == [(0,) * 1200]
+    cells = table.cells
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match=r"degree 3 needs a table of 577440800 cells"):
+        table.basis(3)
+    assert time.perf_counter() - start < 5
+    assert table.cells == cells
+    assert table.basis(0) == [(0,) * 1200] and table.basis(2) == []
+
+
+def test_engine_basis_is_one_table_read():
+    for m in library():
+        engine = engine_for(m)
+        top = max(engine.formal_dimension_formula(), 0) + 2
+        for i in range(top, -1, -1):  # highest first: lower degrees come from the table
+            basis = engine.basis(i)
+            assert basis == monomial_basis(m.generators, i), (m.name, i)
+            # an empty degree off the table's degree step is a fresh list
+            assert engine.basis(i) is basis or basis == []
 
 
 def test_derivation_leibniz_even_head():

@@ -8,6 +8,7 @@ import pytest
 
 from sullivan.algebra import multiply
 from sullivan.cohomology import (
+    CohomologyEngine,
     InternalInvariantError,
     NotEllipticError,
     NotHomogeneousError,
@@ -254,6 +255,45 @@ def test_certificate_agrees_with_window_scan(monkeypatch, random_corpus):
         assert cert.ok == (reference == "certificate"), (m.name, cert, reference)
     for m, (_, elliptic) in zip(controls, CERTIFICATE_CONTROLS.values()):
         assert certify_elliptic(m).ok == elliptic, m.name
+
+
+def test_certifier_basis_table_keeps_witnesses(monkeypatch, random_corpus):
+    """The pure-quotient witness read off the certifier's basis table is
+    the one the recursive enumerator gives, on the library, the corpus,
+    the controls and rejected sampler attempts."""
+    from test_algebra import reference_monomial_basis
+
+    drawn = []
+    decide = cohomology_module.certify_elliptic
+
+    def recording(model):
+        drawn.append(model)
+        return decide(model)
+
+    monkeypatch.setattr(cohomology_module, "certify_elliptic", recording)
+    for seed in range(20):
+        random_elliptic_model(seed, SAMPLED_SHAPES[1])
+    monkeypatch.undo()
+    controls = [parse_model(text, name=name) for name, (text, _) in CERTIFICATE_CONTROLS.items()]
+    models = library() + random_corpus + drawn + controls
+    witnesses = []
+    for m in models:
+        n_form = formal_dimension_formula(m)
+        witnesses.append(CohomologyEngine(m)._pure_quotient_witness(n_form) if n_form >= 0 else None)
+    assert sum(w is not None for w in witnesses) >= 3
+
+    class RecursiveBases:
+        def __init__(self, gens):
+            self.gens = gens
+
+        def basis(self, degree):
+            return reference_monomial_basis(self.gens, degree)
+
+    monkeypatch.setattr(cohomology_module, "BasisTable", RecursiveBases)
+    for m, witness in zip(models, witnesses):
+        n_form = formal_dimension_formula(m)
+        if n_form >= 0:
+            assert CohomologyEngine(m)._pure_quotient_witness(n_form) == witness, m.name
 
 
 def test_fundamental_class_odd_sphere():
