@@ -18,17 +18,18 @@ so the cocycles are the reduced-echelon kernel basis of the
 differential.  H^i takes cocycles only until it holds dim Z^i - dim B^i
 representatives; every later one would come back dependent.
 
-A strand H^i_k of a homogeneous model is a label slice of H^i, not a
-build of its own: each image d(m) has word length wl(m) + l - 1 and a
-row is only combined with stored rows whose pivot lies in its support,
-so every row of H^i's echelon is homogeneous, and a length-k cochain
-meets exactly the length-k rows, in the order a strand-only pass would
-store them.  A strand keeps the basis monomials and representatives of
-length k and the H^i labels of those representatives, and shares H^i's
-one echelon; its coordinates refuse a term of another length before
-reducing.  Each representative of H^i lies in one strand, which is also
-what the Toomer values of a homogeneous model are read from (see
-`toomer`).
+H^i records the word length of each representative once, as it is
+built (`lengths`, None for a representative that mixes lengths).  On a
+homogeneous model none does: each image d(m) has word length
+wl(m) + l - 1 and a row is only combined with stored rows whose pivot
+lies in its support, so every row of H^i's echelon is homogeneous, and a
+length-k cochain meets exactly the length-k rows, in the order a
+strand-only pass would store them.  So a strand H^i_k is a label slice
+of H^i, made on demand and not a build of its own: the basis monomials
+of length k, the representatives of length k with their H^i labels, and
+H^i's one echelon; its coordinates refuse a term of another length
+before reducing.  The bigraded table counts `lengths`, and the Toomer
+values of a homogeneous model are read from them too (see `toomer`).
 
 The pairing reads one functional phi on C^N, the fundamental-class
 coordinate of reduction against the top echelon (0 on B^N, 1 on omega),
@@ -138,16 +139,19 @@ class EllipticityCertificate:
 class _DegreeCohomology:
     """H at one degree, or one word-length strand of it: canonical
     representatives and the echelon structure used to put arbitrary
-    cocycles into class coordinates.  A strand shares the echelon of H^i;
-    `labels` are the H^i labels of its representatives."""
+    cocycles into class coordinates.  `lengths` gives each
+    representative's word length, None where it mixes lengths.  A strand
+    shares the echelon of H^i; `labels` are the H^i labels of its
+    representatives."""
 
-    __slots__ = ("degree", "basis", "reps", "echelon", "labels", "length")
+    __slots__ = ("degree", "basis", "reps", "echelon", "lengths", "labels", "length")
 
-    def __init__(self, degree, basis, reps, echelon, labels=None, length=None):
+    def __init__(self, degree, basis, reps, echelon, lengths, labels=None, length=None):
         self.degree = degree
         self.basis = basis  # cochain monomials, ascending
         self.reps = reps  # representative cocycles, one polynomial per class
         self.echelon = echelon  # boundaries (unlabelled) + reps of H^i (labelled 0..)
+        self.lengths = lengths
         self.labels = range(len(reps)) if labels is None else labels
         self.length = length  # the strand's word length; None for all of H^i
 
@@ -179,7 +183,6 @@ class CohomologyEngine:
         self._rows: dict[Monomial, dict] = {}
         self._full: dict[int, _DegreeCohomology] = {}
         self._strand: dict[tuple[int, int], _DegreeCohomology] = {}
-        self._split: dict[int, dict[int, _DegreeCohomology]] = {}
         # B^i left by the build below, until H^i is built
         self._boundaries: dict[int, Echelon] = {}
         self._certificate: EllipticityCertificate | None = None
@@ -238,7 +241,7 @@ class CohomologyEngine:
         )
         self._boundaries[i + 1] = image
         dim = len(relations) - ech.rank  # dim Z^i - dim B^i
-        reps = []
+        reps, lengths = [], []
         for rel in relations:
             if len(reps) == dim:
                 break  # H^i is complete: every later cocycle is dependent
@@ -246,12 +249,14 @@ class CohomologyEngine:
             row = ech.add(cocycle, label=len(reps))
             if row is not None:
                 reps.append(row)
-        return _DegreeCohomology(i, basis, reps, ech)
+                ks = {word_length(m) for m in row}
+                lengths.append(ks.pop() if len(ks) == 1 else None)
+        return _DegreeCohomology(i, basis, reps, ech, lengths)
 
     def full(self, i: int) -> _DegreeCohomology:
         """H^i; the missing degrees below it are built first, lowest first."""
         if i < 0:
-            return _DegreeCohomology(i, [], [], Echelon())
+            return _DegreeCohomology(i, [], [], Echelon(), [])
         got = self._full.get(i)
         if got is None:
             for j in range(len(self._full), i + 1):  # _full holds 0..len-1
@@ -259,33 +264,16 @@ class CohomologyEngine:
         return got
 
     def strand(self, i: int, k: int) -> _DegreeCohomology:
-        """H^i_k: the part of H^i of word length k (see the module docstring)."""
+        """H^i_k: the representatives of H^i of word length k, with their
+        H^i labels, on H^i's echelon (see the module docstring)."""
         self._require_homogeneous()
         got = self._strand.get((i, k))
         if got is None:
-            got = self.strands(i).get(k) or _DegreeCohomology(
-                i, [], [], self.full(i).echelon, [], k)
-            self._strand[(i, k)] = got
-        return got
-
-    def strands(self, i: int) -> dict[int, _DegreeCohomology]:
-        """{k: H^i_k} for every length k of a basis monomial, from one pass
-        over H^i; each part shares H^i's echelon and keeps the H^i labels
-        of its representatives."""
-        self._require_homogeneous()
-        got = self._split.get(i)
-        if got is None:
             whole = self.full(i)
-            got = self._split[i] = {}
-            for m in whole.basis:
-                k = word_length(m)
-                if k not in got:
-                    got[k] = _DegreeCohomology(i, [], [], whole.echelon, [], k)
-                got[k].basis.append(m)
-            for label, rep in enumerate(whole.reps):  # each rep is homogeneous
-                part = got[word_length(next(iter(rep)))]
-                part.reps.append(rep)
-                part.labels.append(label)
+            labels = [s for s, wl in enumerate(whole.lengths) if wl == k]
+            got = self._strand[(i, k)] = _DegreeCohomology(
+                i, self.strand_basis(i, k), [whole.reps[s] for s in labels],
+                whole.echelon, [k] * len(labels), labels, k)
         return got
 
     def cohomology_at(self, i: int, k: int | None = None) -> _DegreeCohomology:
@@ -293,12 +281,8 @@ class CohomologyEngine:
         return self.full(i) if k is None else self.strand(i, k)
 
     def classes(self, i: int, k: int | None = None) -> list[CohomologyClass]:
-        out = []
-        for rep in self.cohomology_at(i, k).reps:
-            lengths = {word_length(m) for m in rep}
-            wl = k if k is not None else (lengths.pop() if len(lengths) == 1 else None)
-            out.append(CohomologyClass(i, rep, wl))
-        return out
+        part = self.cohomology_at(i, k)
+        return [CohomologyClass(i, rep, wl) for rep, wl in zip(part.reps, part.lengths)]
 
     def betti(self, i: int, k: int | None = None) -> int:
         return self.cohomology_at(i, k).dim
@@ -456,9 +440,9 @@ class CohomologyEngine:
         self._require_homogeneous()
         cert = self.require_certificate()
         n = cert.formal_dimension
-        parts = [self.strands(i) for i in range(n + 1)]
-        e_top = max((k for p in parts for k, part in p.items() if part.dim), default=0)
-        h = tuple(tuple(p[k].dim if k in p else 0 for k in range(e_top + 1)) for p in parts)
+        lengths = [self.full(i).lengths for i in range(n + 1)]
+        e_top = max((k for ks in lengths for k in ks), default=0)
+        h = tuple(tuple(ks.count(k) for k in range(e_top + 1)) for ks in lengths)
         hits = [[i for i in range(n + 1) if h[i][k]] for k in range(e_top + 1)]
         return BigradedTable(h, tuple(hit[0] if hit else None for hit in hits),
                              tuple(hit[-1] if hit else None for hit in hits), e_top, n)

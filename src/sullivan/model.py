@@ -112,10 +112,12 @@ def make_model(spec_gens, diffs=None, simply_connected=None, name=None) -> Sulli
 def check_model(model: SullivanModel) -> list[Violation]:
     """All validation violations, in staged order per generator.
 
-    Stage 1 checks the shape of each d(v): degree shift +1 and
-    decomposability.  Triangularity and d^2 = 0 are only meaningful for a
-    well-shaped differential, so they run as stage 2 for generators that
-    passed stage 1.
+    Stage 1 checks the shape of each d(v): every term a monomial of the
+    generators (one exponent per generator, none negative, none above 1
+    on an odd generator), degree shift +1 and decomposability.
+    Triangularity and d^2 = 0 are only meaningful for a well-shaped
+    differential, so they run as stage 2 for generators that passed
+    stage 1.
     """
     gens = model.generators
     violations: list[Violation] = []
@@ -133,6 +135,12 @@ def check_model(model: SullivanModel) -> list[Violation]:
             )
             ok = False
         dv = model.d_of(g.index)
+        for m in dv:
+            fault = _monomial_fault(gens, m)
+            if fault:
+                violations.append(Violation(g.name, "monomial", fault))
+                ok = False
+                break
         for m in dv:
             deg = monomial_degree(gens, m)
             if deg != g.degree + 1:
@@ -169,6 +177,18 @@ def check_model(model: SullivanModel) -> list[Violation]:
                 Violation(g.name, "d-squared", f"d(d({g.name})) = {poly_str(gens, dd)}")
             )
     return violations
+
+
+def _monomial_fault(gens, m: Monomial) -> str | None:
+    """Why the exponent tuple m is no monomial of gens, or None."""
+    if len(m) != len(gens):
+        return f"term {m} has {len(m)} exponents for {len(gens)} generators"
+    for h, e in zip(gens, m):
+        if e < 0:
+            return f"term {m} has a negative exponent"
+        if e > 1 and h.is_odd:
+            return f"term {m} squares the odd generator {h.name} (it vanishes)"
+    return None
 
 
 def validate(model: SullivanModel) -> SullivanModel:

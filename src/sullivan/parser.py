@@ -155,7 +155,6 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
     """
     gen_specs: list[tuple[str, int]] = []
     gen_index: dict[str, int] = {}
-    gen_line: dict[str, int] = {}
     diffs: dict[str, Polynomial] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -176,7 +175,6 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
             if degree < 1:
                 raise ModelSyntaxError(line_no, tokens[2][2], "degree must be >= 1")
             gen_index[gname] = len(gen_specs)
-            gen_line[gname] = line_no
             gen_specs.append((gname, degree))
         elif head[0] == "name" and head[1] == "d":
             if len(tokens) < 4 or tokens[1][0] != "name" or tokens[2][1] != "=":
@@ -197,6 +195,9 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
 
     if not gen_specs:
         raise ModelSyntaxError(1, 1, "empty model: no generators declared")
+    # a `d` line has one exponent per generator declared above it; pad to all
+    n = len(gen_specs)
+    diffs = {t: {m + (0,) * (n - len(m)): c for m, c in rhs.items()} for t, rhs in diffs.items()}
     # degree-1 generators imply the nilmanifold (non-simply-connected) case
     simply_connected = all(d >= 2 for _, d in gen_specs)
     return make_model(gen_specs, diffs, simply_connected=simply_connected, name=name)

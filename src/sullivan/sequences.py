@@ -186,7 +186,7 @@ def _nonzero_parts(engine, i: int, k_max: int | None) -> dict:
     length order; {None: H^i} ungraded, when nonzero."""
     if k_max is None:
         return {None: engine.full(i)} if engine.full(i).dim else {}
-    return {k: part for k, part in sorted(engine.strands(i).items()) if part.dim and k <= k_max}
+    return {k: engine.strand(i, k) for k in sorted(set(engine.full(i).lengths)) if k <= k_max}
 
 
 def build_wang(model: SullivanModel, bigraded: bool | None = None) -> LesData:

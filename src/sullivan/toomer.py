@@ -29,16 +29,17 @@ Lambda^(>k) V, the length-k part gives x = d(w_(k-l+1)), so x = 0 in
 H_k, a contradiction; hence e0(x) = k.  The same argument on its
 shortest strand gives e0 of any class, so K_n^i is the sum of the
 H^i_k with k > n.  So on a homogeneous model the filtration is read
-from H^i alone: `e0_spectrum` counts the representatives of H^i by
-word length, and `toomer_of_class` gives the shortest length of a
-representative on which the class has a nonzero coordinate in H^i.
-The length-keyed echelon serves mixed-length models only.
+from the word lengths H^i records for its representatives
+(`lengths`): `e0_spectrum` counts them, and `toomer_of_class` gives
+the least of them over the representatives on which the class has a
+nonzero coordinate in H^i.  The length-keyed echelon serves
+mixed-length models only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 from .algebra import Polynomial, word_length
 from .cohomology import (
@@ -102,13 +103,6 @@ def _dims_above(lengths: list[int]) -> tuple[int, ...]:
     return tuple(sum(k > n for k in lengths) for n in range(max(lengths, default=-1) + 1)) or (0,)
 
 
-def _strand_kernel_dim(engine: CohomologyEngine, i: int) -> tuple[int, ...]:
-    """`QuotientComplex.kernel_dim` of a homogeneous model, with no
-    elimination: each representative of H^i lies in one strand H^i_k
-    (`CohomologyEngine.strands`), and a class of H^i_k has e0 = k."""
-    return _dims_above([word_length(next(iter(rep))) for rep in engine.full(i).reps])
-
-
 def _quotients(engine: CohomologyEngine) -> QuotientComplex:
     qc = getattr(engine, "_toomer_quotients", None)
     if qc is None:
@@ -167,8 +161,7 @@ def toomer_of_class(model: SullivanModel, x: CohomologyClass) -> int:
     if length_profile(model).is_homogeneous:
         whole = engine.full(x.degree)
         coords = whole.coordinates(x.representative)
-        level = min((word_length(next(iter(rep))) for rep, c in zip(whole.reps, coords) if c),
-                    default=None)
+        level = min((k for k, c in zip(whole.lengths, coords) if c), default=None)
     else:
         level = _quotients(engine).level(x.degree, x.representative)
     if level is None:
@@ -187,10 +180,10 @@ def e0_spectrum(model: SullivanModel) -> ToomerReport:
         return report
     n_top = engine.require_certificate().formal_dimension
     if length_profile(model).is_homogeneous:
-        kernel_dim = partial(_strand_kernel_dim, engine)
+        dims = (_dims_above(engine.full(i).lengths) for i in range(1, n_top + 1))
     else:
-        kernel_dim = _quotients(engine).kernel_dim
-    filt = ToomerFiltration(tuple(kernel_dim(i) for i in range(1, n_top + 1)), n_top)
+        dims = map(_quotients(engine).kernel_dim, range(1, n_top + 1))
+    filt = ToomerFiltration(tuple(dims), n_top)
     e0 = filt.e0
     spectrum = [1]  # mu_0: the unit class
     for k in range(1, e0 + 1):

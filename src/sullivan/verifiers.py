@@ -45,15 +45,16 @@ def _not_applicable(theorem_id, model, reason, derived=None) -> VerificationRepo
     )
 
 
-def _hypotheses(model: SullivanModel, need_homogeneous: bool = True):
-    """Common hypothesis screen: returns (profile, certificate, reason)."""
+def _hypotheses(model: SullivanModel):
+    """Common hypothesis screen: returns (profile, reason), reason None
+    when the model is homogeneous and certified elliptic."""
     profile = length_profile(model)
-    if need_homogeneous and not profile.is_homogeneous:
-        return profile, None, "differential is not of homogeneous length"
+    if not profile.is_homogeneous:
+        return profile, "differential is not of homogeneous length"
     cert = engine_for(model).certify()
     if not cert.ok:
-        return profile, cert, f"no ellipticity certificate ({cert.verdict}: {cert.witness})"
-    return profile, cert, None
+        return profile, f"no ellipticity certificate ({cert.verdict}: {cert.witness})"
+    return profile, None
 
 
 def _e_formula(model: SullivanModel, l: int) -> int:
@@ -64,7 +65,7 @@ def verify_theorem2(model: SullivanModel) -> VerificationReport:
     """Category formula, no gaps, and the location conditions:
     (A) e0 = dim V^odd + (l-2) dim V^even, (B) every length 0..e0 is
     realized, (C) the n_k/N_k ladder climbs by at least the connectivity."""
-    profile, cert, reason = _hypotheses(model)
+    profile, reason = _hypotheses(model)
     if reason:
         return _not_applicable("theorem2", model, reason)
     engine = engine_for(model)
@@ -127,7 +128,7 @@ def _condition_c(table, p: int, e: int) -> str | None:
 def verify_lemma1(model: SullivanModel) -> VerificationReport:
     """Bigraded Poincare-duality bookkeeping: n_k = N - N_(e-k) and the
     equivalence of the two ladder conditions."""
-    profile, cert, reason = _hypotheses(model)
+    _, reason = _hypotheses(model)
     if reason:
         return _not_applicable("lemma1", model, reason)
     engine = engine_for(model)
@@ -203,7 +204,7 @@ def odd_cocycle_kernel_dimension(model: SullivanModel) -> int:
 def verify_theorem3(model: SullivanModel) -> VerificationReport:
     """With an odd spherical generator, every middle length is realized
     at least twice."""
-    profile, cert, reason = _hypotheses(model)
+    profile, reason = _hypotheses(model)
     if reason:
         return _not_applicable("theorem3", model, reason)
     l = profile.l
@@ -230,7 +231,7 @@ def verify_theorem3(model: SullivanModel) -> VerificationReport:
 
 def verify_corollary4(model: SullivanModel) -> VerificationReport:
     """dim H >= 2 e0, sharp cases flagged."""
-    profile, cert, reason = _hypotheses(model)
+    _, reason = _hypotheses(model)
     if reason:
         return _not_applicable("corollary4", model, reason)
     engine = engine_for(model)
@@ -322,7 +323,7 @@ def classify_conjecture5(model: SullivanModel) -> Conjecture5Record:
     truncated polynomial algebra on one generator, detected by the Betti
     pattern plus cup-power spanning.  Anything else is branch (iii), a
     counterexample to the conjecture."""
-    profile, cert, reason = _hypotheses(model)
+    _, reason = _hypotheses(model)
     if reason:
         raise ValueError(f"conjecture 5 scan needs homogeneous certified models: {reason}")
     engine = engine_for(model)
@@ -381,7 +382,7 @@ def scan_conjecture5(corpus) -> list[Conjecture5Record]:
 def verify_conjecture5(model: SullivanModel) -> VerificationReport:
     """Single-model view of the conjecture scan: pass on either branch,
     fail only on a counterexample (which the scan preserves loudly)."""
-    profile, cert, reason = _hypotheses(model)
+    _, reason = _hypotheses(model)
     if reason:
         return _not_applicable("conjecture5", model, reason)
     record = classify_conjecture5(model)

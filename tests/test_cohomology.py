@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sullivan.algebra import multiply
+from sullivan.algebra import multiply, word_length
 from sullivan.cohomology import (
     CohomologyEngine,
     InternalInvariantError,
@@ -35,6 +35,7 @@ from sullivan.model import (
 from sullivan.parser import parse_model
 
 from conftest import d_mono, pow_model, theta_corpus
+from test_cli_golden import MIXED_MODELS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -166,21 +167,40 @@ def test_strand_coordinates_refuse_other_lengths():
             engine.strand(6, k).coordinates(cochain)
 
 
+def rep_length(rep):
+    """The one word length of a representative, None when it mixes lengths."""
+    lengths = {word_length(m) for m in rep}
+    return lengths.pop() if len(lengths) == 1 else None
+
+
+def test_class_word_lengths_on_mixed_models():
+    # on a mixed model a representative may mix lengths: its class says None
+    models = [m for m in library() if not length_profile(m).is_homogeneous]
+    models += [parse_model(text, name=name) for name, text in MIXED_MODELS.items()]
+    seen = set()
+    for m in models:
+        engine = engine_for(m)
+        for i in range(engine.formal_dimension_formula() + 1):
+            got = [cls.word_length for cls in engine.classes(i)]
+            assert got == [rep_length(rep) for rep in engine.full(i).reps], (m.name, i)
+            seen.update(x is None for x in got)
+    assert seen == {True, False}
+
+
 def test_strands_are_label_slices_of_h_i(homogeneous_library, random_corpus):
     # every strand shares H^i's one echelon and names its reps by H^i labels
     for m in homogeneous_library + random_corpus[:12]:
         engine = engine_for(m)
         for i in range(max(engine.formal_dimension_formula(), 0) + 2):
             whole = engine.full(i)
-            parts = engine.strands(i)
             labels = []
-            for k, part in parts.items():
+            for k in range(max(whole.lengths, default=0) + 2):  # the last one is empty
+                part = engine.strand(i, k)
                 assert part.echelon is whole.echelon, (m.name, i, k)
                 assert part.reps == [whole.reps[s] for s in part.labels], (m.name, i, k)
                 labels += part.labels
+            assert part.dim == 0, (m.name, i)
             assert sorted(labels) == list(range(whole.dim)), (m.name, i)
-            empty = engine.strand(i, max(parts, default=0) + 1)
-            assert empty.dim == 0 and empty.echelon is whole.echelon, (m.name, i)
 
 
 def test_bigraded_5gen_length_dims():
@@ -582,12 +602,13 @@ def reference_build(engine, i, k=None):
         row = ech.add({basis[j]: c for j, c in enumerate(vec) if c}, label=len(reps))
         if row is not None:
             reps.append(row)
-    return _DegreeCohomology(i, basis, reps, ech)
+    return _DegreeCohomology(i, basis, reps, ech, [rep_length(rep) for rep in reps])
 
 
 def assert_same_cohomology(model, got, ref, where):
     assert got.basis == ref.basis, where
     assert got.reps == ref.reps, where
+    assert got.lengths == ref.lengths, where
     for rep in ref.reps:
         assert not model.d(rep), where
         assert got.coordinates(rep) == ref.coordinates(rep), where

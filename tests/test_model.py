@@ -39,6 +39,20 @@ def test_validate_two_violations_for_dy_equals_y():
         validate(bad)
 
 
+@pytest.mark.parametrize("spec, diffs, fault", [
+    ([("u", 3), ("w", 5)], {"w": {(2, 0): 1}}, "squares the odd generator u"),
+    ([("x", 2), ("y", 3)], {"y": {(2,): 1}}, "has 1 exponents for 2 generators"),
+    ([("x", 2), ("y", 3), ("z", 3)], {"z": {(2, 0, 0, 0): 1}}, "has 4 exponents"),
+    ([("x", 2), ("y", 3)], {"y": {(3, -1): 1}}, "negative exponent"),
+])
+def test_validate_rejects_terms_that_are_no_monomial(spec, diffs, fault):
+    # each used to validate and then fail inside the engine
+    with pytest.raises(ModelValidationError) as err:
+        make_model(spec, diffs)
+    first = err.value.violations[0]
+    assert first.condition == "monomial" and fault in first.message
+
+
 def test_validate_heisenberg_needs_flag():
     m = make_model(
         [("a", 1), ("b", 1), ("c", 1)],

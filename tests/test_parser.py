@@ -1,8 +1,11 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from sullivan.cli import main
 from sullivan.library import library
 from sullivan.model import RandomModelParams, random_elliptic_model
 from sullivan.parser import ModelSyntaxError, parse_model, print_model
@@ -139,3 +142,14 @@ def test_roundtrip_fuzzed_coefficients():
         m = parse_model(text)
         assert parse_model(print_model(m)) == m
         assert m.d_of(2)[(1, 1, 0)] == c2
+
+
+def test_gen_line_after_d_lines(tmp_path):
+    # a generator declared after a `d` line widens the monomials above it
+    late = parse_model("gen x 2\ngen y 3\nd y = x^2\ngen u 3\n")
+    assert late == parse_model("gen x 2\ngen y 3\ngen u 3\nd y = x^2\n")
+    assert late.d_of(1) == {(2, 0, 0): Fraction(1)}
+    path = tmp_path / "late.sul"
+    path.write_text("gen x 2\ngen y 3\nd y = x^2\ngen u 3\n", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cohomology", "--model", str(path)]) == 0

@@ -4,6 +4,7 @@ exit codes."""
 
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -47,6 +48,33 @@ def test_parse_inverts_print(model):
     again = parse_model(text)
     assert again == model
     assert print_model(again) == text
+
+
+@st.composite
+def late_gen_texts(draw):
+    """A pure model and its text with `gen` lines moved among and after
+    the `d` lines, in order, each before the first `d` line naming it."""
+    model = draw(pure_models())
+    lines = print_model(model).splitlines()
+    gens, ds = lines[:model.n_gens], lines[model.n_gens:]
+    names = [set(re.findall(r"\w+", line)) for line in ds]
+    first = [min([len(ds)] + [t for t, n in enumerate(names) if g.name in n])
+             for g in model.generators]
+    slots, at = [], 0  # gen j goes just before d line slots[j]
+    for j in range(len(gens)):
+        at = draw(st.integers(at, min(first[j:])))
+        slots.append(at)
+    moved = []
+    for t in range(len(ds) + 1):
+        moved += [line for line, slot in zip(gens, slots) if slot == t] + ds[t:t + 1]
+    return model, "\n".join(moved) + "\n"
+
+
+@SETTINGS
+@given(late_gen_texts())
+def test_late_gen_lines_parse_to_the_same_model(case):
+    model, text = case
+    assert parse_model(text) == model
 
 
 @st.composite
