@@ -187,7 +187,9 @@ class CohomologyEngine:
         self._boundaries: dict[int, Echelon] = {}
         self._certificate: EllipticityCertificate | None = None
         self._phi: dict[Monomial, Fraction] | None = None
-        self._profile = length_profile(model)
+        # the length profile every layer reads: bigraded tables, Toomer,
+        # Wang/Gysin and the theorem checkers
+        self.profile = length_profile(model)
 
     # -- bases and matrices ---------------------------------------------
 
@@ -213,7 +215,7 @@ class CohomologyEngine:
             dst = self.basis(i + 1)
         else:
             src = self.strand_basis(i, k)
-            dst = self.strand_basis(i + 1, k + self._profile.l - 1)
+            dst = self.strand_basis(i + 1, k + self.profile.l - 1)
         dst_index = {m: r for r, m in enumerate(dst)}
         entries = {}
         for j, m in enumerate(src):
@@ -222,7 +224,7 @@ class CohomologyEngine:
         return RatMatrix(len(dst), len(src), entries)
 
     def _require_homogeneous(self):
-        if not self._profile.is_homogeneous:
+        if not self.profile.is_homogeneous:
             raise NotHomogeneousError(
                 "the differential mixes word lengths; the bigraded tables are "
                 "undefined -- use the ungraded cohomology"

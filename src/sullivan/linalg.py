@@ -359,9 +359,7 @@ def reduce_rows(rows, tags=None) -> tuple[Echelon, list[dict]]:
         pivot = min(num)
         if tags is None or pivot < tags[0]:
             span._insert(num, pivot)
-        else:
-            if num[tags[j]] < 0:
-                num = {t: -c for t, c in num.items()}
+        else:  # num[tags[j]] > 0: no stored row carries tags[j]
             relations.append(num)
     if tags is not None and span.rank:
         first = tags[0]

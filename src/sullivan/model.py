@@ -47,11 +47,9 @@ class SullivanModel:
     triangularity requirement and quotient semantics.
     """
 
-    def __init__(self, generators, differential: Derivation,
-                 simply_connected: bool = True, name: str | None = None):
+    def __init__(self, generators, differential: Derivation, name: str | None = None):
         self.generators = tuple(generators)
         self.differential = differential
-        self.simply_connected = simply_connected
         self.name = name
         self.validated = False
         self._engine = None
@@ -71,6 +69,10 @@ class SullivanModel:
         return [g for g in self.generators if not g.is_odd]
 
     @property
+    def simply_connected(self) -> bool:
+        return all(g.degree >= 2 for g in self.generators)
+
+    @property
     def min_degree(self) -> int:
         return min(g.degree for g in self.generators)
 
@@ -85,7 +87,6 @@ class SullivanModel:
             isinstance(other, SullivanModel)
             and self.generators == other.generators
             and self.differential.values == other.differential.values
-            and self.simply_connected == other.simply_connected
         )
 
     def __repr__(self) -> str:
@@ -93,19 +94,16 @@ class SullivanModel:
         return f"SullivanModel({self.name or 'anonymous'}: {gens})"
 
 
-def make_model(spec_gens, diffs=None, simply_connected=None, name=None) -> SullivanModel:
+def make_model(spec_gens, diffs=None, name=None) -> SullivanModel:
     """Convenience constructor: spec_gens = [(name, degree), ...],
-    diffs = {gen_name: Polynomial}.  Auto-detects simple connectivity
-    when the flag is not forced."""
+    diffs = {gen_name: Polynomial}."""
     gens = tuple(Generator(i, n, d) for i, (n, d) in enumerate(spec_gens))
     diffs = diffs or {}
     unknown = set(diffs) - {g.name for g in gens}
     if unknown:
         raise KeyError(f"differentials for undeclared generators: {sorted(unknown)}")
     values = [poly(diffs.get(g.name, {})) for g in gens]
-    if simply_connected is None:
-        simply_connected = all(g.degree >= 2 for g in gens)
-    model = SullivanModel(gens, Derivation(1, tuple(values)), simply_connected, name)
+    model = SullivanModel(gens, Derivation(1, tuple(values)), name)
     return validate(model)
 
 
@@ -127,12 +125,6 @@ def check_model(model: SullivanModel) -> list[Violation]:
         ok = True
         if g.degree < 1:
             violations.append(Violation(g.name, "degree", "generator degree must be >= 1"))
-            ok = False
-        elif g.degree == 1 and model.simply_connected:
-            violations.append(
-                Violation(g.name, "simply-connected",
-                          "degree-1 generator requires the non-simply-connected flag")
-            )
             ok = False
         dv = model.d_of(g.index)
         for m in dv:
@@ -264,7 +256,6 @@ def quotient_model(model: SullivanModel, gen: Generator) -> SullivanModel:
     quotient = SullivanModel(
         new_gens,
         Derivation(1, tuple(values)),
-        simply_connected=all(g.degree >= 2 for g in new_gens),
         name=f"{model.name}/{gen.name}" if model.name else None,
     )
     return validate(quotient)

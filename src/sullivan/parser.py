@@ -66,11 +66,8 @@ class _TermParser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ModelSyntaxError(self.line, 0, "unexpected end of line in polynomial")
+        """Step past the token the last peek() saw."""
         self.pos += 1
-        return tok
 
     def fail(self, message):
         tok = self.peek()
@@ -92,11 +89,9 @@ class _TermParser:
                 out[mono] = cur
             else:
                 out.pop(mono, None)
-            tok = self.peek()
+            tok = self.peek()  # term() stops at the end of the line or at '+'/'-'
             if tok is None:
                 return out
-            if tok[1] not in "+-":
-                self.fail(f"expected '+' or '-', found {tok[1]!r}")
             self.take()
             sign = -1 if tok[1] == "-" else 1
 
@@ -198,9 +193,7 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
     # a `d` line has one exponent per generator declared above it; pad to all
     n = len(gen_specs)
     diffs = {t: {m + (0,) * (n - len(m)): c for m, c in rhs.items()} for t, rhs in diffs.items()}
-    # degree-1 generators imply the nilmanifold (non-simply-connected) case
-    simply_connected = all(d >= 2 for _, d in gen_specs)
-    return make_model(gen_specs, diffs, simply_connected=simply_connected, name=name)
+    return make_model(gen_specs, diffs, name=name)
 
 
 def _check_rhs(line_no, tokens, gen_specs, gen_index, target, rhs: Polynomial):

@@ -37,7 +37,6 @@ from .linalg import RatMatrix, kernel_basis, matmul, rank, solve_membership
 from .model import (
     QuotientError,
     SullivanModel,
-    length_profile,
     quotient_model,
     wang_derivation,
 )
@@ -189,31 +188,27 @@ def _nonzero_parts(engine, i: int, k_max: int | None) -> dict:
     return {k: engine.strand(i, k) for k in sorted(set(engine.full(i).lengths)) if k <= k_max}
 
 
-def build_wang(model: SullivanModel, bigraded: bool | None = None) -> LesData:
-    """Wang sequence data for an odd cocycle first generator.
+def build_wang(model: SullivanModel, ungraded: bool = False) -> LesData:
+    """Wang sequence data for an odd cocycle first generator, bigraded
+    when the differential has homogeneous length unless `ungraded`.
 
     The model and its quotient must certify elliptic, which makes the
     exactness check complete."""
     x1 = model.generators[0]
     if not x1.is_odd:
         raise QuotientError(f"Wang sequence needs an odd first generator, {x1.name} is even")
-    return _build(model, "wang", bigraded)
+    return _build(model, "wang", ungraded)
 
 
-def build_gysin(model: SullivanModel, bigraded: bool | None = None) -> LesData:
+def build_gysin(model: SullivanModel, ungraded: bool = False) -> LesData:
     """Gysin sequence data for an even cocycle first generator."""
     x1 = model.generators[0]
     if x1.is_odd:
         raise QuotientError(f"Gysin sequence needs an even first generator, {x1.name} is odd")
-    return _build(model, "gysin", bigraded)
+    return _build(model, "gysin", ungraded)
 
 
-def _build(model: SullivanModel, kind: str, bigraded: bool | None) -> LesData:
-    profile = length_profile(model)
-    if bigraded is None:
-        bigraded = profile.is_homogeneous
-    if bigraded and not profile.is_homogeneous:
-        raise QuotientError("bigraded sequence requires a homogeneous-length differential")
+def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
     x1 = model.generators[0]
     if model.d_of(0):
         raise QuotientError(f"d({x1.name}) != 0; cannot strip a non-cocycle")
@@ -221,7 +216,8 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None) -> LesData:
     quotient = quotient_model(model, x1)
     eng_w = engine_for(quotient)
 
-    l = profile.l
+    bigraded = eng_v.profile.is_homogeneous and not ungraded
+    l = eng_v.profile.l
     # the certificates make H^i of each group zero above its formal dimension
     top = {"V": eng_v.require_certificate().formal_dimension,
            "W": eng_w.require_certificate().formal_dimension}
@@ -244,11 +240,13 @@ def _build(model: SullivanModel, kind: str, bigraded: bool | None) -> LesData:
             image = images[arrow.name]
             for k, part in parts[arrow.source].items():
                 tk = None if k is None else k + arrow.length_shift
+                if not 0 <= ti <= top[arrow.target]:  # H^ti of the target group is zero
+                    matrix = RatMatrix(0, part.dim)
+                else:
+                    matrix = _classes_matrix([image(chi, i) for chi in part.reps],
+                                             engines[arrow.target], ti, tk)
                 maps[(arrow.name, i, k)] = LesMap(
-                    arrow.name, (arrow.source, i, k), (arrow.target, ti, tk),
-                    _classes_matrix([image(chi, i) for chi in part.reps],
-                                    engines[arrow.target], ti, tk),
-                )
+                    arrow.name, (arrow.source, i, k), (arrow.target, ti, tk), matrix)
 
     return LesData(
         kind=kind,

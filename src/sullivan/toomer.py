@@ -49,7 +49,7 @@ from .cohomology import (
     engine_for,
 )
 from .linalg import Echelon, reduce_rows
-from .model import SullivanModel, length_profile
+from .model import SullivanModel
 
 
 def _by_length(p: Polynomial) -> dict:
@@ -158,7 +158,7 @@ def toomer_of_class(model: SullivanModel, x: CohomologyClass) -> int:
     engine = engine_for(model)
     if x.degree == 0:
         return 0
-    if length_profile(model).is_homogeneous:
+    if engine.profile.is_homogeneous:
         whole = engine.full(x.degree)
         coords = whole.coordinates(x.representative)
         level = min((k for k, c in zip(whole.lengths, coords) if c), default=None)
@@ -179,7 +179,7 @@ def e0_spectrum(model: SullivanModel) -> ToomerReport:
     if report is not None:
         return report
     n_top = engine.require_certificate().formal_dimension
-    if length_profile(model).is_homogeneous:
+    if engine.profile.is_homogeneous:
         dims = (_dims_above(engine.full(i).lengths) for i in range(1, n_top + 1))
     else:
         dims = map(_quotients(engine).kernel_dim, range(1, n_top + 1))

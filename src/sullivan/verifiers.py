@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cohomology import engine_for
 from .linalg import reduce_rows
-from .model import SullivanModel, length_profile
+from .model import SullivanModel
 from .toomer import e0_spectrum, toomer_of_algebra
 
 PASS = "pass"
@@ -48,10 +48,11 @@ def _not_applicable(theorem_id, model, reason, derived=None) -> VerificationRepo
 def _hypotheses(model: SullivanModel):
     """Common hypothesis screen: returns (profile, reason), reason None
     when the model is homogeneous and certified elliptic."""
-    profile = length_profile(model)
+    engine = engine_for(model)
+    profile = engine.profile
     if not profile.is_homogeneous:
         return profile, "differential is not of homogeneous length"
-    cert = engine_for(model).certify()
+    cert = engine.certify()
     if not cert.ok:
         return profile, f"no ellipticity certificate ({cert.verdict}: {cert.witness})"
     return profile, None
@@ -255,16 +256,16 @@ def verify_corollary4(model: SullivanModel) -> VerificationReport:
 def verify_remark2(model: SullivanModel) -> VerificationReport:
     """Lower bound e0 >= dim V^odd + (l-2) dim V^even for differentials
     of length at least l (homogeneity not required)."""
-    profile = length_profile(model)
-    cert = engine_for(model).certify()
+    engine = engine_for(model)
+    cert = engine.certify()
     if not cert.ok:
         return _not_applicable(
             "remark2", model, f"no ellipticity certificate ({cert.verdict})"
         )
-    l = profile.l
+    l = engine.profile.l
     bound = _e_formula(model, l)
     e0 = toomer_of_algebra(model)
-    derived = {"l": l, "bound": bound, "e0": e0, "profile": profile.kind}
+    derived = {"l": l, "bound": bound, "e0": e0, "profile": engine.profile.kind}
     ok = e0 >= bound
     witnesses = {} if ok else {"bound": f"e0 = {e0} < {bound}"}
     return VerificationReport(

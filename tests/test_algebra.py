@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import cycle
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,9 @@ from sullivan.algebra import (
     poly_str,
     word_length,
 )
-from sullivan.cohomology import engine_for
+from sullivan.cohomology import _TAG, engine_for
 from sullivan.library import library
+from sullivan.linalg import reduce_rows
 from sullivan.model import make_model
 from conftest import (
     d_mono,
@@ -465,3 +467,30 @@ def test_engine_images_match_model_d_and_recursive_reference(random_corpus):
                 assert whole or not integral, (model.name, m)
                 rational_rows += not whole
     assert rational_rows > 100
+
+
+def test_image_relations_are_primitive_with_a_positive_own_coefficient(random_corpus):
+    # reduce_rows over the images d(m) of a degree, tagged as the engine
+    # tags them: each relation sum_t c_t d(m_t) = 0 holds, has integer
+    # coefficients with content 1, and its own (last) tag has c > 0
+    models = (library() + random_corpus + theta_corpus()
+              + [_rescaled(m) for m in random_corpus[:12]])
+    relations_seen = 0
+    for model in models:
+        engine = engine_for(model)
+        for i in range(max(engine.formal_dimension_formula(), 0) + 1):
+            basis = engine.basis(i)
+            rows = [engine.d_row(m) for m in basis]
+            _, relations = reduce_rows(rows, [(_TAG, j) for j in range(len(basis))])
+            for rel in relations:
+                own = max(rel)
+                assert rel[own] > 0, (model.name, i, rel)
+                assert all(type(c) is int for c in rel.values())
+                assert gcd(*rel.values()) == 1, (model.name, i, rel)
+                total = {}
+                for (_, j), c in rel.items():
+                    for m2, v in rows[j].items():
+                        total[m2] = total.get(m2, 0) + c * v
+                assert not any(total.values()), (model.name, i, rel)
+            relations_seen += len(relations)
+    assert relations_seen > 1000

@@ -69,6 +69,16 @@ def test_validate_invalid_file_exit_3(tmp_path, capsys):
     assert "degree mismatch" in capsys.readouterr().out
 
 
+def test_validate_reports_d_squared_violation(tmp_path, capsys):
+    path = tmp_path / "dd.sul"
+    path.write_text("gen x 2\ngen w 3\ngen y 4\nd w = x^2\nd y = x*w\n")
+    code = main(["validate", "--model", str(path), "--format", "json", "--no-timestamp"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3 and payload["valid"] is False
+    assert payload["violations"] == [
+        {"generator": "y", "condition": "d-squared", "message": "d(d(y)) = x^3"}]
+
+
 def test_validate_library_model(capsys):
     code = main(["validate", "--lib", "mixed:3"])
     out = capsys.readouterr().out

@@ -53,18 +53,15 @@ def test_validate_rejects_terms_that_are_no_monomial(spec, diffs, fault):
     assert first.condition == "monomial" and fault in first.message
 
 
-def test_validate_heisenberg_needs_flag():
+def test_simple_connectivity_is_read_off_the_degrees():
     m = make_model(
         [("a", 1), ("b", 1), ("c", 1)],
         {"c": {(1, 1, 0): Fraction(1)}},
     )
-    assert not m.simply_connected  # auto-detected
-    with pytest.raises(ModelValidationError):
-        make_model(
-            [("a", 1), ("b", 1), ("c", 1)],
-            {"c": {(1, 1, 0): Fraction(1)}},
-            simply_connected=True,
-        )
+    assert not m.simply_connected
+    circle_times_s2 = make_model([("t", 1), ("x", 2), ("y", 3)], {"y": {(0, 2, 0): 1}})
+    assert not circle_times_s2.simply_connected
+    assert quotient_model(circle_times_s2, circle_times_s2.generators[0]).simply_connected
 
 
 def test_validate_rejects_broken_d_squared():
@@ -99,10 +96,7 @@ def test_validate_rejects_mutated_library_differentials():
 
         values = list(model.differential.values)
         values[target.index] = dv
-        broken = SullivanModel(
-            gens, Derivation(1, tuple(values)),
-            simply_connected=model.simply_connected,
-        )
+        broken = SullivanModel(gens, Derivation(1, tuple(values)))
         violations = check_model(broken)
         assert violations, f"mutated {name} was accepted"
 

@@ -68,6 +68,26 @@ def test_parse_bad_character_has_column():
     assert err.value.line == 3 and err.value.column == 8
 
 
+@pytest.mark.parametrize("line, column, fragment", [
+    ("d y = x +", 0, "empty term"),  # column 0: the end of the line
+    ("d y = 2 x", 9, "after a coefficient, found 'x'"),
+    ("d y = 2*3", 9, "expected a generator name"),
+    ("d y = x^a", 9, "expected an integer exponent after '^'"),
+    ("d y = x y", 9, "expected '*', '+' or '-', found 'y'"),
+    ("gen z", 1, "expected: gen <name> <degree>"),
+    ("gen z 3/2", 7, "degree must be an integer"),
+    ("gen z 0", 7, "degree must be >= 1"),
+    ("d y x^2", 1, "expected: d <name> = <polynomial>"),
+    ("d z = x^2", 3, "unknown generator 'z'"),
+    ("foo y 3", 1, "expected 'gen' or 'd', found 'foo'"),
+])
+def test_parse_error_names_line_column_and_fault(line, column, fragment):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(f"gen x 2\ngen y 3\n{line}\n")
+    assert (err.value.line, err.value.column) == (3, column)
+    assert fragment in str(err.value)
+
+
 def test_parse_redeclaration():
     with pytest.raises(ModelSyntaxError) as err:
         parse_model("gen x 2\ngen x 4\n")

@@ -6,7 +6,8 @@ from conftest import theta_corpus
 from test_cli_golden import MIXED_MODELS
 
 from sullivan.algebra import apply_derivation, multiply
-from sullivan.cohomology import engine_for
+from sullivan.cli import main
+from sullivan.cohomology import CohomologyEngine, engine_for
 from sullivan.library import get_model, library
 from sullivan.linalg import RatMatrix, matmul, rank
 from sullivan.model import (
@@ -196,17 +197,45 @@ def test_parity_preconditions():
 def test_ungraded_sequences_work_on_mixed_models():
     # Remark-2-style usage: the ungraded Gysin on a mixed-length model
     m = get_model("mixed:1")
-    les = build_gysin(m, bigraded=False)
+    les = build_gysin(m)
     report = check_exactness(les)
     assert not report.bigraded
     assert report.all_exact
-    with pytest.raises(QuotientError):
-        build_gysin(m, bigraded=True)
+    assert build_gysin(m, ungraded=True).maps == les.maps
 
 
 def test_ungraded_wang_on_homogeneous_model_too():
-    les = build_wang(get_model("nil5"), bigraded=False)
+    les = build_wang(get_model("nil5"), ungraded=True)
     assert check_exactness(les).all_exact
+
+
+def test_sequences_build_no_degree_above_the_formal_dimension(monkeypatch, tmp_path, capsys):
+    # H^i of a certified group is zero outside degrees 0..N, so no source
+    # or target there needs an elimination or a class lookup, graded or
+    # ungraded
+    built, targets = [], []
+    build, lookup = CohomologyEngine._build, CohomologyEngine.cohomology_at
+    monkeypatch.setattr(CohomologyEngine, "_build",
+                        lambda engine, i: built.append((engine, i)) or build(engine, i))
+    monkeypatch.setattr(CohomologyEngine, "cohomology_at",
+                        lambda engine, i, k=None: targets.append((engine, i))
+                        or lookup(engine, i, k))
+    for fname, text in MIXED_MODELS.items():
+        (tmp_path / fname).write_text(text)
+    sources = ([["--lib", m.name] for m in library()]
+               + [["--model", str(tmp_path / fname)] for fname in MIXED_MODELS])
+    codes = [main([kind, *flags, *source]) for kind in ("wang", "gysin")
+             for flags in ([], ["--ungraded"]) for source in sources]
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert set(codes) == {0, 3} and codes.count(0) > 40
+    assert len(built) > 500 and len(targets) > 300
+    above = [(engine.model.name, i) for engine, i in built
+             if i > engine.certify().formal_dimension]
+    assert above == []
+    outside = [(engine.model.name, i) for engine, i in targets
+               if not 0 <= i <= engine.certify().formal_dimension]
+    assert outside == []
 
 
 # simply connected, with theta*[b] = [a] + [c]: a theta column mixing two
@@ -217,12 +246,12 @@ THETA_MIXING_MODEL = "gen u 3\ngen a 3\ngen c 3\ngen b 5\nd b = u*a + u*c\n"
 def test_corrupted_theta_fails_exactness():
     models = [get_model("nil4"), parse_model(THETA_MIXING_MODEL, name="theta-mixing")]
     for model in models:
-        for bigraded in (None, False):
-            les = build_wang(model, bigraded=bigraded)
+        for ungraded in (False, True):
+            les = build_wang(model, ungraded=ungraded)
             assert check_exactness(les).all_exact
             bad = corrupt_connecting_sign(les)
             report = check_exactness(bad)
-            assert not report.all_exact, (model.name, bigraded)
+            assert not report.all_exact, (model.name, ungraded)
             failure = report.failures[0]
             assert failure.witness is not None
             assert "LW" in failure.position
@@ -271,13 +300,13 @@ def test_random_theta_models_exercise_the_connecting_map():
     # theta*[b] = c1 [x^(l-2) a1] + c2 [x^(l-2) a2]: a nonzero connecting map
     # whose column mixes two classes, so a flipped sign breaks exactness
     for model in theta_corpus():
-        for bigraded in (None, False):
-            les = build_wang(model, bigraded=bigraded)
-            assert check_exactness(les).all_exact, (model.name, bigraded)
+        for ungraded in (False, True):
+            les = build_wang(model, ungraded=ungraded)
+            assert check_exactness(les).all_exact, (model.name, ungraded)
             assert any(not lmap.matrix.is_zero() for (kind, _, _), lmap in les.maps.items()
-                       if kind == "theta"), (model.name, bigraded)
+                       if kind == "theta"), (model.name, ungraded)
             report = check_exactness(corrupt_connecting_sign(les))
-            assert not report.all_exact, (model.name, bigraded)
+            assert not report.all_exact, (model.name, ungraded)
             assert report.failures[0].witness is not None
 
 
@@ -319,11 +348,10 @@ def _reference_divide_x1(p):
     return {(m[0] - 1,) + m[1:]: c for m, c in p.items()}
 
 
-def reference_build(model, kind, bigraded=None):
+def reference_build(model, kind, ungraded=False):
     """The two-branch construction of the maps and node dimensions."""
     profile = length_profile(model)
-    if bigraded is None:
-        bigraded = profile.is_homogeneous
+    bigraded = profile.is_homogeneous and not ungraded
     x1 = model.generators[0]
     eng_v = engine_for(model)
     quotient = quotient_model(model, x1)
@@ -479,12 +507,12 @@ def test_three_map_table_matches_two_branch_construction():
             continue
         kind = "wang" if model.generators[0].is_odd else "gysin"
         build = build_wang if kind == "wang" else build_gysin
-        for bigraded in (None, False):
-            if bigraded is None and not length_profile(model).is_homogeneous:
+        for ungraded in (False, True):
+            if not ungraded and not length_profile(model).is_homogeneous:
                 continue
-            got = build(model, bigraded=bigraded)
-            want = reference_build(model, kind, bigraded)
-            where = (model.name, kind, bigraded)
+            got = build(model, ungraded=ungraded)
+            want = reference_build(model, kind, ungraded)
+            where = (model.name, kind, ungraded)
             assert (got.bigraded, got.i_max, got.k_max) == (
                 want.bigraded, want.i_max, want.k_max), where
             assert got.dims == {node: d for node, d in want.dims.items() if d}, where
