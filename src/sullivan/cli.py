@@ -163,7 +163,8 @@ def _cmd_validate(args):
         payload = {
             "valid": False,
             "violations": [
-                {"generator": v.generator, "condition": v.condition, "message": v.message}
+                {"generator": v.generator, "condition": v.condition,
+                 "message": v.message, "line": v.line}
                 for v in err.violations
             ],
         }

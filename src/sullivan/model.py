@@ -23,14 +23,17 @@ from .algebra import (
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed validation condition, pinned to a generator."""
+    """One failed validation condition, pinned to a generator and, for a
+    parsed model, to the line that defines it."""
 
     generator: str
     condition: str
     message: str
+    line: int | None = None
 
     def __str__(self) -> str:
-        return f"{self.generator}: {self.condition}: {self.message}"
+        where = f"line {self.line}: " if self.line is not None else ""
+        return f"{where}{self.generator}: {self.condition}: {self.message}"
 
 
 class ModelValidationError(ValueError):

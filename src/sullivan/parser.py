@@ -14,14 +14,15 @@ triangularity requirement.  parse(print(model)) round-trips exactly.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import Monomial, Polynomial, poly_str
-from .model import SullivanModel, make_model
+from .model import ModelValidationError, SullivanModel, make_model
 
 
 class ModelSyntaxError(ValueError):
-    """Lexical/syntax/semantic error with line and column."""
+    """Text that cannot become a model, with line and column."""
 
     def __init__(self, line: int, column: int, message: str):
         self.line = line
@@ -70,8 +71,9 @@ class _TermParser:
         self.pos += 1
 
     def fail(self, message):
+        """Raise at the current token, or one past the last at the end of the line."""
         tok = self.peek()
-        col = tok[2] if tok else 0
+        col = tok[2] if tok else self.tokens[-1][2] + len(self.tokens[-1][1])
         raise ModelSyntaxError(self.line, col, message)
 
     def parse(self) -> Polynomial:
@@ -144,13 +146,16 @@ class _TermParser:
 def parse_model(text: str, name: str | None = None) -> SullivanModel:
     """Parse a model description and validate it.
 
-    Raises ModelSyntaxError with a precise location for lexical, syntax
-    and semantic (unknown name, degree mismatch, non-triangular
-    reference) problems; ModelValidationError for deeper structural ones.
+    Raises ModelSyntaxError, with line and column, for text that cannot
+    become a model; ModelValidationError, from `check_model`, for every
+    structural fault, each violation naming its `gen` line (a degree) or
+    its `d` line (every other condition).
     """
     gen_specs: list[tuple[str, int]] = []
     gen_index: dict[str, int] = {}
     diffs: dict[str, Polynomial] = {}
+    gen_lines: dict[str, int] = {}
+    d_lines: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -166,11 +171,9 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
                 raise ModelSyntaxError(line_no, tokens[2][2], "degree must be an integer")
             if gname in gen_index:
                 raise ModelSyntaxError(line_no, tokens[1][2], f"generator {gname!r} redeclared")
-            degree = int(tokens[2][1])
-            if degree < 1:
-                raise ModelSyntaxError(line_no, tokens[2][2], "degree must be >= 1")
             gen_index[gname] = len(gen_specs)
-            gen_specs.append((gname, degree))
+            gen_specs.append((gname, int(tokens[2][1])))
+            gen_lines[gname] = line_no
         elif head[0] == "name" and head[1] == "d":
             if len(tokens) < 4 or tokens[1][0] != "name" or tokens[2][1] != "=":
                 raise ModelSyntaxError(line_no, head[2], "expected: d <name> = <polynomial>")
@@ -180,9 +183,8 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
             if target in diffs:
                 raise ModelSyntaxError(line_no, tokens[1][2], f"d {target} defined twice")
             parser = _TermParser(tokens[3:], line_no, gen_index, len(gen_specs))
-            rhs = parser.parse()
-            _check_rhs(line_no, tokens, gen_specs, gen_index, target, rhs)
-            diffs[target] = rhs
+            diffs[target] = parser.parse()
+            d_lines[target] = line_no
         else:
             raise ModelSyntaxError(
                 line_no, head[2], f"expected 'gen' or 'd', found {head[1]!r}"
@@ -193,36 +195,13 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
     # a `d` line has one exponent per generator declared above it; pad to all
     n = len(gen_specs)
     diffs = {t: {m + (0,) * (n - len(m)): c for m, c in rhs.items()} for t, rhs in diffs.items()}
-    return make_model(gen_specs, diffs, name=name)
-
-
-def _check_rhs(line_no, tokens, gen_specs, gen_index, target, rhs: Polynomial):
-    """Degree and triangularity checks with the line pinned."""
-    degrees = [d for _, d in gen_specs]
-    t_idx = gen_index[target]
-    expected = degrees[t_idx] + 1
-    col = tokens[3][2] if len(tokens) > 3 else 0
-    for mono in rhs:
-        deg = sum(e * d for e, d in zip(mono, degrees))
-        if deg != expected:
-            raise ModelSyntaxError(
-                line_no, col,
-                f"degree mismatch: d {target} must have degree {expected}, "
-                f"term has degree {deg}",
-            )
-        for i, e in enumerate(mono):
-            if e and i >= t_idx:
-                raise ModelSyntaxError(
-                    line_no, col,
-                    f"non-triangular reference: d {target} uses "
-                    f"{gen_specs[i][0]!r}, declared at or after {target!r}",
-                )
-        for i, e in enumerate(mono):
-            if e > 1 and degrees[i] % 2 == 1:
-                raise ModelSyntaxError(
-                    line_no, col,
-                    f"odd generator {gen_specs[i][0]!r} squared (it vanishes)",
-                )
+    try:
+        return make_model(gen_specs, diffs, name=name)
+    except ModelValidationError as err:
+        raise ModelValidationError(
+            replace(v, line=(gen_lines if v.condition == "degree" else d_lines)[v.generator])
+            for v in err.violations
+        ) from None
 
 
 def print_model(model: SullivanModel) -> str:

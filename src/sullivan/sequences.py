@@ -309,11 +309,12 @@ def check_exactness(les: LesData) -> LesReport:
         out_mat = les.maps[out_key].matrix if out_key in les.maps else RatMatrix(0, dim)
         rank_in = ranks.get(in_key, 0)
         kernel_out = dim - ranks.get(out_key, 0)
-        composite_ok = matmul(out_mat, in_mat).is_zero()
+        composite = matmul(out_mat, in_mat)
+        composite_ok = composite.is_zero()
         exact = composite_ok and rank_in == kernel_out
         verdicts.append(NodeVerdict(
             _position_label(les, node), node, role, dim, rank_in, kernel_out, composite_ok,
-            exact, witness=None if exact else _exactness_witness(in_mat, out_mat)))
+            exact, witness=None if exact else _exactness_witness(in_mat, out_mat, composite)))
     return LesReport(
         kind=les.kind,
         bigraded=les.bigraded,
@@ -324,17 +325,15 @@ def check_exactness(les: LesData) -> LesReport:
     )
 
 
-def _exactness_witness(in_mat: RatMatrix, out_mat: RatMatrix):
-    """A vector exhibiting the failure: in ker(out) but not im(in), or an
-    image vector not killed by the outgoing map."""
+def _exactness_witness(in_mat: RatMatrix, out_mat: RatMatrix, composite: RatMatrix):
+    """A vector exhibiting the failure at an inexact node: in ker(out) but
+    not im(in), or else the first image column that the outgoing map does
+    not kill, read off composite = out * in (nonzero here: with a zero
+    composite, rank(in) < dim ker(out) and the kernel loop returns)."""
     for kvec in kernel_basis(out_mat):
         if solve_membership(in_mat, kvec) is None:
             return kvec
-    for c in range(in_mat.cols):
-        img = in_mat.column(c)
-        if any(out_mat.apply(img)):
-            return img
-    return None
+    return in_mat.column(min(c for _, c in composite._entries))
 
 
 def corrupt_connecting_sign(les: LesData) -> LesData:

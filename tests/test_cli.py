@@ -66,7 +66,7 @@ def test_validate_invalid_file_exit_3(tmp_path, capsys):
     path.write_text("gen x 2\ngen y 3\nd y = x\n")
     code = main(["validate", "--model", str(path)])
     assert code == 3
-    assert "degree mismatch" in capsys.readouterr().out
+    assert "line 3: y: degree-shift: term of degree 2, expected 4" in capsys.readouterr().out
 
 
 def test_validate_reports_d_squared_violation(tmp_path, capsys):
@@ -76,7 +76,7 @@ def test_validate_reports_d_squared_violation(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 3 and payload["valid"] is False
     assert payload["violations"] == [
-        {"generator": "y", "condition": "d-squared", "message": "d(d(y)) = x^3"}]
+        {"generator": "y", "condition": "d-squared", "message": "d(d(y)) = x^3", "line": 5}]
 
 
 def test_validate_library_model(capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from sullivan.cli import main
 from sullivan.library import library
-from sullivan.model import RandomModelParams, random_elliptic_model
+from sullivan.model import ModelValidationError, RandomModelParams, random_elliptic_model
 from sullivan.parser import ModelSyntaxError, parse_model, print_model
 
 S2_TEXT = "gen x 2\ngen y 3\nd y = x^2\n"
@@ -42,10 +43,11 @@ def test_parse_five_generator_example():
 
 def test_parse_degree_mismatch_reports_line():
     text = "gen x 2\ngen y 3\nd y = x\n"
-    with pytest.raises(ModelSyntaxError) as err:
+    with pytest.raises(ModelValidationError) as err:
         parse_model(text)
-    assert err.value.line == 3
-    assert "degree mismatch" in str(err.value)
+    assert [(v.condition, v.line) for v in err.value.violations] == [
+        ("degree-shift", 3), ("decomposable", 3)]
+    assert "line 3: y: degree-shift: term of degree 2, expected 4" in str(err.value)
 
 
 def test_parse_unknown_generator():
@@ -57,9 +59,9 @@ def test_parse_unknown_generator():
 
 def test_parse_non_triangular_reference():
     text = "gen y 3\ngen x 2\nd y = x^2\n"
-    with pytest.raises(ModelSyntaxError) as err:
+    with pytest.raises(ModelValidationError) as err:
         parse_model(text)
-    assert "non-triangular" in str(err.value)
+    assert [(v.condition, v.line) for v in err.value.violations] == [("triangular", 3)]
 
 
 def test_parse_bad_character_has_column():
@@ -69,14 +71,14 @@ def test_parse_bad_character_has_column():
 
 
 @pytest.mark.parametrize("line, column, fragment", [
-    ("d y = x +", 0, "empty term"),  # column 0: the end of the line
+    ("d y = x +", 10, "empty term"),  # one past the last token
     ("d y = 2 x", 9, "after a coefficient, found 'x'"),
     ("d y = 2*3", 9, "expected a generator name"),
+    ("d y = 2*", 9, "expected a generator name"),
     ("d y = x^a", 9, "expected an integer exponent after '^'"),
     ("d y = x y", 9, "expected '*', '+' or '-', found 'y'"),
     ("gen z", 1, "expected: gen <name> <degree>"),
     ("gen z 3/2", 7, "degree must be an integer"),
-    ("gen z 0", 7, "degree must be >= 1"),
     ("d y x^2", 1, "expected: d <name> = <polynomial>"),
     ("d z = x^2", 3, "unknown generator 'z'"),
     ("foo y 3", 1, "expected 'gen' or 'd', found 'foo'"),
@@ -95,9 +97,43 @@ def test_parse_redeclaration():
 
 
 def test_parse_odd_square_rejected():
-    with pytest.raises(ModelSyntaxError) as err:
+    with pytest.raises(ModelValidationError) as err:
         parse_model("gen u 3\ngen x 2\ngen w 7\nd w = u^2*x\n")
-    assert "squared" in str(err.value)
+    assert [(v.condition, v.line) for v in err.value.violations] == [("monomial", 4)]
+    assert "squares the odd generator u" in str(err.value)
+
+
+# One file per structural fault: check_model reports it once, on the
+# defining line (the `gen` line for a degree, the `d` line otherwise).
+STRUCTURAL_FAULTS = [
+    pytest.param("gen x 2\ngen y 3\ngen z 0\n", "degree", 3, id="degree"),
+    pytest.param("gen x 2\ngen y 3\nd y = x^3\n", "degree-shift", 3, id="degree-shift"),
+    pytest.param("gen y 3\ngen x 2\n\nd y = x^2\n", "triangular", 4, id="triangular"),
+    pytest.param("gen u 3\ngen x 2\ngen w 7\n# u^2 = 0\nd w = u^2*x\n", "monomial", 5,
+                 id="odd-square"),
+]
+
+
+@pytest.mark.parametrize("text, condition, line", STRUCTURAL_FAULTS)
+def test_structural_fault_is_one_violation_on_its_line(text, condition, line, tmp_path, capsys):
+    with pytest.raises(ModelValidationError) as err:
+        parse_model(text)
+    assert [(v.condition, v.line) for v in err.value.violations] == [(condition, line)]
+    assert str(err.value).startswith(f"line {line}: ")
+    path = tmp_path / "fault.sul"
+    path.write_text(text, encoding="utf-8")
+    code = main(["validate", "--model", str(path), "--format", "json", "--no-timestamp"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3 and payload["valid"] is False
+    assert [(v["condition"], v["line"]) for v in payload["violations"]] == [(condition, line)]
+
+
+def test_two_faulty_d_lines_report_both():
+    text = "gen x 2\ngen y 3\ngen z 3\nd z = x^3\ngen w 7\nd w = x*y^2\n"
+    with pytest.raises(ModelValidationError) as err:
+        parse_model(text)
+    assert [(v.generator, v.condition, v.line) for v in err.value.violations] == [
+        ("z", "degree-shift", 4), ("w", "monomial", 6)]
 
 
 def test_parse_double_definition():

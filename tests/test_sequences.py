@@ -455,12 +455,13 @@ def reference_check_exactness(les):
         assert (in_mat.rows, out_mat.cols) == (dim, dim), node
         rank_in = rank(in_mat)
         kernel_out = dim - rank(out_mat)
-        composite_ok = matmul(out_mat, in_mat).is_zero()
+        composite = matmul(out_mat, in_mat)
+        composite_ok = composite.is_zero()
         exact = composite_ok and rank_in == kernel_out
         verdicts.append(NodeVerdict(
             position=_position_label(les, node), node=node, role=role, dim=dim,
             rank_in=rank_in, kernel_out=kernel_out, composite_zero=composite_ok,
-            exact=exact, witness=None if exact else _exactness_witness(in_mat, out_mat),
+            exact=exact, witness=None if exact else _exactness_witness(in_mat, out_mat, composite),
         ))
     return verdicts
 

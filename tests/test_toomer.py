@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,16 +128,35 @@ def test_filtration_monotone():
         assert filt.total(0) == report.total_h_plus  # K_0 = H^+
 
 
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _les_models():
+    """The benchmark's generated mixed-length models (`les_pool` of
+    `bench/workloads.py`, loaded read-only from its path): 64 models."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [parse_model(model.text, name=f"les-{seed}-{i}-{model.kind}")
+            for seed in (1, 2)
+            for i, pair in enumerate(workloads.les_pool(seed, 16))
+            for model in pair]
+
+
 def test_consistency_three_ways():
     # toomer_of_algebra = via fundamental class = max per-class value
-    for name in ["sphere:3", "cp:4", "example-5gen", "heisenberg", "nil4",
-                 "mixed:1", "mixed:2", "mixed:3", "mixed:4", "mixed:5"]:
-        m = get_model(name)
+    models = [get_model(name) for name in [
+        "sphere:3", "cp:4", "example-5gen", "heisenberg", "nil4",
+        "mixed:1", "mixed:2", "mixed:3", "mixed:4", "mixed:5"]]
+    les = _les_models()
+    assert len(les) == 64 and not any(length_profile(m).is_homogeneous for m in les)
+    for m in models + les:
         report = e0_spectrum(m)
         e0 = report.e0_algebra
-        assert toomer_via_fundamental_class(m) == e0, name
+        assert toomer_via_fundamental_class(m) == e0, m.name
         max_class = max(max(vals) for vals in report.per_class if vals)
-        assert max_class == e0, name
+        assert max_class == e0, m.name
 
 
 def test_representative_independence():
