@@ -3,20 +3,21 @@ word-length bigraded H^i_k for homogeneous models, formal dimension,
 the exact ellipticity decision, fundamental class and the
 Poincare-duality pairing.
 
-Bases, monomial differentials and the cohomology of each degree are
-memoized on a per-model engine.  The bases are level 0 of one
-`BasisTable`, grown upward as degrees are asked for; the certifier
-enumerates Q[V^even] from a table of its own.  The engine reads the
-differential once into a `LeibnizTable` and keeps each image d(m) as a
-sparse row of ints (Fractions only where the model has a non-integer
-coefficient), which goes into elimination as it is.  Degrees are built
-upward, each by one `reduce_rows` pass over the images d(m) of its basis
-monomials in basis order: the relations among the images are the
-cocycles, and their span is the next degree's boundaries.  Each relation
-is the unique one between an image and the earlier independent images,
-so the cocycles are the reduced-echelon kernel basis of the
-differential.  H^i takes cocycles only until it holds dim Z^i - dim B^i
-representatives; every later one would come back dependent.
+Bases and the cohomology of each degree are memoized on a per-model
+engine.  The bases are level 0 of one `BasisTable`, grown upward as
+degrees are asked for; the certifier enumerates Q[V^even] from a table
+of its own.  The engine reads the differential once into a
+`LeibnizTable`, which gives each image d(m) as a sparse row of ints
+(Fractions only where the model has a non-integer coefficient) that goes
+into elimination as it is; a build reads each image once, so none is
+kept.  Degrees are built upward, each by one `reduce_rows` pass over the
+images d(m) of its basis monomials in basis order: the relations among
+the images are the cocycles, and their span is the next degree's
+boundaries.  Each relation is the unique one between an image and the
+earlier independent images, so the cocycles are the reduced-echelon
+kernel basis of the differential.  H^i takes cocycles only until it
+holds dim Z^i - dim B^i representatives; every later one would come back
+dependent.
 
 H^i records the word length of each representative once, as it is
 built (`lengths`, None for a representative that mixes lengths).  On a
@@ -171,7 +172,7 @@ class _DegreeCohomology:
 
 
 class CohomologyEngine:
-    """Per-model memo of bases, monomial differentials and cohomology."""
+    """Per-model memo of bases and cohomology."""
 
     def __init__(self, model: SullivanModel):
         if not model.validated:
@@ -180,7 +181,6 @@ class CohomologyEngine:
         self.gens = model.generators
         self._bases = BasisTable(self.gens)
         self._leibniz = LeibnizTable(self.gens, model.differential)
-        self._rows: dict[Monomial, dict] = {}
         self._full: dict[int, _DegreeCohomology] = {}
         self._strand: dict[tuple[int, int], _DegreeCohomology] = {}
         # B^i left by the build below, until H^i is built
@@ -201,11 +201,8 @@ class CohomologyEngine:
 
     def d_row(self, m: Monomial) -> dict:
         """d(m) as a sparse row of ints (Fractions only where the model has
-        a non-integer coefficient), memoized; callers must not change it."""
-        row = self._rows.get(m)
-        if row is None:
-            row = self._rows[m] = self._leibniz.image(m)
-        return row
+        a non-integer coefficient), computed afresh on every call."""
+        return self._leibniz.image(m)
 
     def d_matrix(self, i: int, k: int | None = None) -> RatMatrix:
         """Differential matrix out of degree i (word-length-k strand when

@@ -140,8 +140,8 @@ def check_model(model: SullivanModel) -> list[Violation]:
             deg = monomial_degree(gens, m)
             if deg != g.degree + 1:
                 violations.append(
-                    Violation(g.name, "degree-shift",
-                              f"term of degree {deg}, expected {g.degree + 1}")
+                    Violation(g.name, "degree-shift", f"term of degree {deg}, expected "
+                              f"{g.degree + 1}: {_term_str(gens, m)}")
                 )
                 ok = False
                 break
@@ -182,8 +182,15 @@ def _monomial_fault(gens, m: Monomial) -> str | None:
         if e < 0:
             return f"term {m} has a negative exponent"
         if e > 1 and h.is_odd:
-            return f"term {m} squares the odd generator {h.name} (it vanishes)"
+            return f"term {_term_str(gens, m)} squares the odd generator {h.name} (it vanishes)"
     return None
+
+
+def _term_str(gens, m: Monomial) -> str:
+    """m in the model-file notation; a tuple that names no term (the wrong
+    length, a negative exponent) as it is."""
+    named = len(m) == len(gens) and min(m, default=0) >= 0
+    return poly_str(gens, {m: 1}) if named else str(m)
 
 
 def validate(model: SullivanModel) -> SullivanModel:

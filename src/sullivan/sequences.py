@@ -1,45 +1,41 @@
 """The bigraded Wang and Gysin long exact sequences.
 
-Stripping the first generator x1 off a model gives a short exact
-sequence of cochain complexes whose long exact cohomology sequence is
-the Wang sequence (x1 odd) or the Gysin sequence (x1 even).  Both cycle
-through three maps, j, p and a connecting map, described once by
-`_cycle` as (name, source group, target group, degree shift, length
-shift), with V = Lambda V and W the quotient Lambda W:
+Stripping the first generator x1 off a model gives one short exact
+sequence of cochain complexes, 0 -> x1 K -> Lambda V -> Lambda W -> 0,
+with K = Lambda W for odd x1 and K = Lambda V for even x1.  Its long
+exact cohomology sequence is the Wang (x1 odd) or the Gysin (x1 even)
+sequence, cycling through three maps described once by `_cycle` as
+(name, source group, target group, degree shift, length shift), with
+V = Lambda V and W the quotient Lambda W:
 
-    j        W -> V  chi -> (-1)^i x1 chi  (Wang)      (|x1|, 1)
-             V -> V  chi -> x1 chi         (Gysin)
-    p        V -> W  drop the x1 terms                 (0, 0)
-    theta    W -> W  the derivation theta* (Wang)      (1 - |x1|, l - 2)
-    partial  W -> V  lift, d, divide by x1 (Gysin)     (1 - |x1|, l - 2)
+    j                K -> V  chi -> x1 chi, (-1)^i x1 chi for Wang  (|x1|, 1)
+    p                V -> W  drop the x1 terms                      (0, 0)
+    theta / partial  W -> K  lift, d, divide by x1                  (1 - |x1|, l - 2)
 
-One loop builds every map from this table; exactness is checked where
-consecutive maps meet.  Only the table and the images of j and of the
-connecting map (`_image_functions`) depend on the sequence.  The grid
-is degrees 0..i_max by word lengths 0..k_max; above the formal
-dimensions every group vanishes for elliptic models, so exactness up to
-there is a complete verification.  Only nonzero groups and the maps out
-of them are stored, and verdicts are given at nonzero nodes only: at a
-zero node the incoming rank and the outgoing kernel are 0 and every
-composite through it vanishes, so it is exact by dimension.
-`nodes_checked` counts the (node, role) checks of the whole grid.
+The connecting map is theta for Wang (the derivation theta* of the split
+d = dbar + x1 theta) and partial for Gysin.  x1 leads the canonical
+order, so x1 m is m with its x1 exponent raised and no Koszul sign;
+`_image_functions` builds the images of both sequences one way.  One
+loop builds every map from the table; exactness is checked where
+consecutive maps meet.  The grid is degrees 0..i_max by word lengths
+0..k_max; above the formal dimensions every group vanishes for elliptic
+models, so exactness up to there is a complete verification.  Only
+nonzero groups and the maps out of them are stored, and verdicts are
+given at nonzero nodes only: at a zero node the incoming rank and the
+outgoing kernel are 0 and every composite through it vanishes, so it is
+exact by dimension.  `nodes_checked` counts the (node, role) checks of
+the whole grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Polynomial, apply_derivation, multiply
+from .algebra import Polynomial
 from .cohomology import InternalInvariantError, engine_for
 from .linalg import RatMatrix, kernel_basis, matmul, rank, solve_membership
-from .model import (
-    QuotientError,
-    SullivanModel,
-    quotient_model,
-    wang_derivation,
-)
+from .model import QuotientError, SullivanModel, quotient_model
 
 NodeKey = tuple[str, int, int | None]  # (group 'V'|'W', upper degree, lower degree)
 
@@ -114,7 +110,7 @@ def _drop_x1(p: Polynomial) -> Polynomial:
 
 
 def _divide_x1(p: Polynomial) -> Polynomial:
-    """Exact division by an even first generator."""
+    """Exact division by the first generator."""
     out: Polynomial = {}
     for m, c in p.items():
         if m[0] < 1:
@@ -163,21 +159,24 @@ def _cycle(kind: str, x1_degree: int, l: int) -> tuple[_Arrow, _Arrow, _Arrow]:
     )
 
 
-def _image_functions(kind: str, model: SullivanModel, quotient: SullivanModel):
-    """Map name -> f(representative, source degree i) = image cochain."""
-    gens = model.generators
-    x1_mono = (1,) + (0,) * (len(gens) - 1)
-    images = {"p": lambda chi, i: _drop_x1(chi)}
-    if kind == "wang":
-        theta = wang_derivation(model, gens[0])
-        images["j"] = lambda chi, i: multiply(
-            gens, {x1_mono: Fraction(-1 if i % 2 else 1)}, _lift_poly(chi))
-        images["theta"] = lambda chi, i: apply_derivation(quotient.generators, theta, chi)
-    else:
-        images["j"] = lambda chi, i: multiply(gens, {x1_mono: Fraction(1)}, chi)
-        # lift to Lambda V, apply d, divide by x1
-        images["partial"] = lambda chi, i: _divide_x1(model.d(_lift_poly(chi)))
-    return images
+def _image_functions(kind: str, model: SullivanModel):
+    """Map name -> f(representative, source degree i) = image cochain.
+
+    Only K and the Wang sign depend on the sequence: K = Lambda W enters
+    Lambda V by the lift, and a connecting image leaves its x1 slot."""
+    wang = kind == "wang"
+    into_v = _lift_poly if wang else dict
+    from_v = _drop_x1 if wang else dict
+
+    def j(chi, i):
+        sign = -1 if wang and i % 2 else 1
+        return {(m[0] + 1,) + m[1:]: sign * c for m, c in into_v(chi).items()}
+
+    def connecting(chi, i):
+        return from_v(_divide_x1(model.d(_lift_poly(chi))))
+
+    return {"j": j, "p": lambda chi, i: _drop_x1(chi),
+            "theta" if wang else "partial": connecting}
 
 
 def _nonzero_parts(engine, i: int, k_max: int | None) -> dict:
@@ -210,8 +209,6 @@ def build_gysin(model: SullivanModel, ungraded: bool = False) -> LesData:
 
 def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
     x1 = model.generators[0]
-    if model.d_of(0):
-        raise QuotientError(f"d({x1.name}) != 0; cannot strip a non-cocycle")
     eng_v = engine_for(model)
     quotient = quotient_model(model, x1)
     eng_w = engine_for(quotient)
@@ -226,7 +223,7 @@ def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
 
     engines = {"V": eng_v, "W": eng_w}
     cycle = _cycle(kind, x1.degree, l)
-    images = _image_functions(kind, model, quotient)
+    images = _image_functions(kind, model)
     dims: dict[NodeKey, int] = {}
     maps: dict[tuple[str, int, int | None], LesMap] = {}
     for i in range(0, i_max + 1):
@@ -373,7 +370,4 @@ def _dimension_relation(model: SullivanModel, quotient: SullivanModel) -> Dimens
 
 def formal_dimension_relation(model: SullivanModel) -> DimensionRelationVerdict:
     """N = M + 2r + 1 for odd |x1| = 2r+1; N = M - 2r + 1 for even 2r."""
-    x1 = model.generators[0]
-    if model.d_of(0):
-        raise QuotientError(f"d({x1.name}) != 0")
-    return _dimension_relation(model, quotient_model(model, x1))
+    return _dimension_relation(model, quotient_model(model, model.generators[0]))

@@ -53,6 +53,21 @@ def test_validate_rejects_terms_that_are_no_monomial(spec, diffs, fault):
     assert first.condition == "monomial" and fault in first.message
 
 
+def test_violation_names_the_term_in_the_file_notation():
+    # a well-formed term is rendered as in a model file; a tuple that names
+    # no term (a negative exponent) is kept as it is
+    with pytest.raises(ModelValidationError) as err:
+        make_model([("x", 2), ("y", 3), ("w", 7)], {"w": {(1, 2, 0): 1}})
+    assert "w: monomial: term x*y^2 squares the odd generator y" in str(err.value)
+    with pytest.raises(ModelValidationError) as err:
+        make_model([("x", 2), ("y", 3)], {"y": {(3, 0): 1}})
+    assert "y: degree-shift: term of degree 6, expected 4: x^3" in str(err.value)
+    with pytest.raises(ModelValidationError) as err:
+        make_model([("x", 2), ("y", 3)], {"y": {(3, -1): 1}})
+    assert "term (3, -1) has a negative exponent" in str(err.value)
+    assert "term of degree 3, expected 4: (3, -1)" in str(err.value)
+
+
 def test_simple_connectivity_is_read_off_the_degrees():
     m = make_model(
         [("a", 1), ("b", 1), ("c", 1)],

@@ -5,7 +5,7 @@ import pytest
 from conftest import theta_corpus
 from test_cli_golden import MIXED_MODELS
 
-from sullivan.algebra import apply_derivation, multiply
+from sullivan.algebra import Derivation, Generator, apply_derivation, multiply
 from sullivan.cli import main
 from sullivan.cohomology import CohomologyEngine, engine_for
 from sullivan.library import get_model, library
@@ -13,6 +13,7 @@ from sullivan.linalg import RatMatrix, matmul, rank
 from sullivan.model import (
     QuotientError,
     RandomModelParams,
+    SullivanModel,
     length_profile,
     make_model,
     quotient_model,
@@ -25,6 +26,7 @@ from sullivan.sequences import (
     LesMap,
     NodeVerdict,
     _exactness_witness,
+    _image_functions,
     _node_checks,
     _position_label,
     build_gysin,
@@ -192,6 +194,17 @@ def test_parity_preconditions():
         build_wang(get_model("cp:2"))
     with pytest.raises(QuotientError):
         build_gysin(get_model("heisenberg"))
+
+
+def test_non_cocycle_first_generator_is_refused_by_the_quotient():
+    # only a model built without `validate` can lead with a non-cocycle;
+    # quotient_model is the one place that refuses it, for the sequences too
+    gens = (Generator(0, "y", 3), Generator(1, "x", 2))
+    bad = SullivanModel(gens, Derivation(1, ({(0, 2): Fraction(1)}, {})))
+    with pytest.raises(QuotientError, match=r"d\(y\) != 0"):
+        quotient_model(bad, gens[0])
+    with pytest.raises(QuotientError, match=r"d\(y\) != 0"):
+        formal_dimension_relation(bad)
 
 
 def test_ungraded_sequences_work_on_mixed_models():
@@ -528,3 +541,28 @@ def test_three_map_table_matches_two_branch_construction():
             _cross_check_corrupted(got, want, where)
             compared += 1
     assert compared >= 50
+
+
+def test_connecting_map_is_theta_on_every_representative():
+    # the Wang connecting map (lift, d, divide by x1) is the derivation
+    # theta of d = dbar + x1 theta on each cocycle of Lambda W, as a
+    # polynomial and not only up to class coordinates
+    models = reps = nonzero = 0
+    for model in _cross_check_models():
+        x1 = model.generators[0]
+        if not x1.is_odd:
+            continue
+        quotient = quotient_model(model, x1)
+        certificate = engine_for(quotient).certify()
+        if not certificate.ok:
+            continue
+        theta = wang_derivation(model, x1)
+        connecting = _image_functions("wang", model)["theta"]
+        for i in range(certificate.formal_dimension + 1):
+            for c in engine_for(quotient).classes(i):
+                want = apply_derivation(quotient.generators, theta, c.representative)
+                assert connecting(c.representative, i) == want, (model.name, i)
+                reps += 1
+                nonzero += bool(want)
+        models += 1
+    assert models >= 20 and reps >= 200 and nonzero >= 50, (models, reps, nonzero)
