@@ -13,17 +13,16 @@ with `WorkBudgetError`, to grow past a fixed cell budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add
+from typing import NamedTuple
 
 Monomial = tuple[int, ...]
 Polynomial = dict[Monomial, Fraction]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A graded generator: position in the fixed list, name, degree."""
 
     index: int
@@ -38,8 +37,7 @@ class Generator:
         return f"{self.name}:{self.degree}"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """A derivation given by its values on generators, extended by the
     graded Leibniz rule D(ab) = D(a)b + (-1)^(shift*|a|) a D(b)."""
 

@@ -46,9 +46,9 @@ dense elimination over the basis would pick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
+from typing import NamedTuple
 
 from .algebra import (
     BasisTable,
@@ -80,8 +80,7 @@ class InternalInvariantError(RuntimeError):
     guaranteed; always a bug, never user error."""
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(NamedTuple):
     degree: int
     representative: Polynomial
     word_length: int | None = None
@@ -90,16 +89,14 @@ class CohomologyClass:
         return poly_str(gens, self.representative)
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     betti: tuple[int, ...]  # degrees 0..formal_dimension
     formal_dimension: int
     total_dimension: int
     classes: tuple[tuple[CohomologyClass, ...], ...]
 
 
-@dataclass(frozen=True)
-class BigradedTable:
+class BigradedTable(NamedTuple):
     """Dimensions h[i][k] of H^i_k plus the n_k / N_k extremes.
 
     n_k[k] / N_k[k] are None when H^*_k = 0 (cannot happen for k <= e on
@@ -126,8 +123,7 @@ class BigradedTable:
         )
 
 
-@dataclass(frozen=True)
-class EllipticityCertificate:
+class EllipticityCertificate(NamedTuple):
     verdict: str  # 'certificate' | 'refutation'
     formal_dimension: int
     witness: str | None = None  # why a refutation refutes

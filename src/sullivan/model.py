@@ -4,8 +4,8 @@ the Wang derivation, and seeded random elliptic models."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     BasisTable,
@@ -21,8 +21,7 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed validation condition, pinned to a generator and, for a
     parsed model, to the line that defines it."""
 
@@ -206,8 +205,7 @@ def validate(model: SullivanModel) -> SullivanModel:
 # -- length profile ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthProfile:
+class LengthProfile(NamedTuple):
     """Word-length profile of the differential.
 
     kind 'homogeneous': every d(v) term has length exactly l.
@@ -294,30 +292,36 @@ def wang_derivation(model: SullivanModel, gen: Generator) -> Derivation:
 # -- random elliptic models ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class RandomModelParams:
     """Shape parameters for random pure (two-stage) models: n_even even
     cocycle generators, n_odd odd generators with homogeneous length-l
     differentials in the evens.  leading_odd_sphere prepends one odd
     cocycle generator so the Wang sequence applies."""
 
-    n_even: int = 2
-    n_odd: int = 2
-    l: int = 2
-    max_even_degree: int = 2
-    leading_odd_sphere: bool = False
-    max_attempts: int = 64
-
-    def __post_init__(self):
-        if self.n_even < 0:
+    def __init__(self, n_even: int = 2, n_odd: int = 2, l: int = 2,
+                 max_even_degree: int = 2, leading_odd_sphere: bool = False,
+                 max_attempts: int = 64):
+        if n_even < 0:
             raise ValueError("the number of even generators must be >= 0")
-        if self.n_odd < self.n_even:
+        if n_odd < n_even:
             raise ValueError(
                 "infeasible parameters: a pure model needs at least as many odd "
                 "generators as even ones to be elliptic"
             )
-        if self.l < 2:
+        if l < 2:
             raise ValueError("differential length must be >= 2")
+        self.n_even = n_even
+        self.n_odd = n_odd
+        self.l = l
+        self.max_even_degree = max_even_degree
+        self.leading_odd_sphere = leading_odd_sphere
+        self.max_attempts = max_attempts
+
+    def __repr__(self) -> str:
+        return (f"RandomModelParams(n_even={self.n_even!r}, n_odd={self.n_odd!r}, "
+                f"l={self.l!r}, max_even_degree={self.max_even_degree!r}, "
+                f"leading_odd_sphere={self.leading_odd_sphere!r}, "
+                f"max_attempts={self.max_attempts!r})")
 
 
 class GenerationBudgetError(RuntimeError):

@@ -14,7 +14,6 @@ triangularity requirement.  parse(print(model)) round-trips exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import Monomial, Polynomial, poly_str
@@ -199,7 +198,7 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
         return make_model(gen_specs, diffs, name=name)
     except ModelValidationError as err:
         raise ModelValidationError(
-            replace(v, line=(gen_lines if v.condition == "degree" else d_lines)[v.generator])
+            v._replace(line=(gen_lines if v.condition == "degree" else d_lines)[v.generator])
             for v in err.violations
         ) from None
 

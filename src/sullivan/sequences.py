@@ -29,7 +29,6 @@ the whole grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .algebra import Polynomial
@@ -40,33 +39,40 @@ from .model import QuotientError, SullivanModel, quotient_model
 NodeKey = tuple[str, int, int | None]  # (group 'V'|'W', upper degree, lower degree)
 
 
-@dataclass(frozen=True)
-class LesMap:
+class LesMap(NamedTuple):
     kind: str  # 'j' | 'p' | 'theta' | 'partial'
     source: NodeKey
     target: NodeKey
     matrix: RatMatrix  # target-class coordinates of each source class
 
 
-@dataclass
 class LesData:
-    kind: str  # 'wang' | 'gysin'
-    bigraded: bool
-    model: SullivanModel
-    quotient: SullivanModel
-    x1_degree: int
-    l: int
-    i_max: int
-    k_max: int | None
-    dims: dict[NodeKey, int]
-    maps: dict[tuple[str, int, int | None], LesMap]  # keyed by (kind, source i, source k)
+    def __init__(self, kind: str, bigraded: bool, model: SullivanModel,
+                 quotient: SullivanModel, x1_degree: int, l: int, i_max: int,
+                 k_max: int | None, dims: dict[NodeKey, int],
+                 maps: dict[tuple[str, int, int | None], LesMap]):
+        self.kind = kind  # 'wang' | 'gysin'
+        self.bigraded = bigraded
+        self.model = model
+        self.quotient = quotient
+        self.x1_degree = x1_degree
+        self.l = l
+        self.i_max = i_max
+        self.k_max = k_max
+        self.dims = dims
+        self.maps = maps  # keyed by (kind, source i, source k)
+
+    def __repr__(self) -> str:
+        return (f"LesData(kind={self.kind!r}, bigraded={self.bigraded!r}, "
+                f"model={self.model!r}, quotient={self.quotient!r}, "
+                f"x1_degree={self.x1_degree!r}, l={self.l!r}, i_max={self.i_max!r}, "
+                f"k_max={self.k_max!r}, dims={self.dims!r}, maps={self.maps!r})")
 
     def dim(self, key: NodeKey) -> int:
         return self.dims.get(key, 0)
 
 
-@dataclass(frozen=True)
-class NodeVerdict:
+class NodeVerdict(NamedTuple):
     position: str
     node: NodeKey
     role: str  # which map pair meets here
@@ -78,8 +84,7 @@ class NodeVerdict:
     witness: tuple | None = None  # class vector in ker(out) \ im(in)
 
 
-@dataclass(frozen=True)
-class DimensionRelationVerdict:
+class DimensionRelationVerdict(NamedTuple):
     parity: str  # 'odd' | 'even'
     n_total: int
     m_quotient: int
@@ -87,8 +92,7 @@ class DimensionRelationVerdict:
     holds: bool
 
 
-@dataclass(frozen=True)
-class LesReport:
+class LesReport(NamedTuple):
     kind: str
     bigraded: bool
     nodes: tuple[NodeVerdict, ...]  # the nonzero nodes
@@ -348,8 +352,10 @@ def corrupt_connecting_sign(les: LesData) -> LesData:
             if len(rows) >= 2:
                 entries = dict(mat._entries)
                 entries[(rows[0], c)] = -entries[(rows[0], c)]
-                new_map = replace(lmap, matrix=RatMatrix(mat.rows, mat.cols, entries))
-                return replace(les, maps={**les.maps, key: new_map})
+                new_map = lmap._replace(matrix=RatMatrix(mat.rows, mat.cols, entries))
+                return LesData(les.kind, les.bigraded, les.model, les.quotient,
+                               les.x1_degree, les.l, les.i_max, les.k_max,
+                               les.dims, {**les.maps, key: new_map})
     raise ValueError(
         "no connecting-map column mixes two classes; sign corruption would be invisible"
     )

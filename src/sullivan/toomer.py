@@ -38,8 +38,8 @@ mixed-length models only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import Polynomial, word_length
 from .cohomology import (
@@ -110,8 +110,7 @@ def _quotients(engine: CohomologyEngine) -> QuotientComplex:
     return qc
 
 
-@dataclass(frozen=True)
-class ToomerFiltration:
+class ToomerFiltration(NamedTuple):
     """dim K_n per (degree, cutoff); K_n as computed on H^i for
     i = 1..formal dimension, cutoffs 0..e0."""
 
@@ -133,15 +132,22 @@ class ToomerFiltration:
         return max((len(row) - 1 for row in self.dims), default=0)
 
 
-@dataclass(frozen=True)
 class ToomerReport:
-    e0_algebra: int
-    cat0: int  # = e0 under the ellipticity certificate
-    spectrum: tuple[int, ...]  # mu_k, k = 0..e0
-    gaps: tuple[int, ...]
-    filtration: ToomerFiltration
-    total_h_plus: int
-    model: SullivanModel = field(repr=False, compare=False)
+    def __init__(self, e0_algebra: int, cat0: int, spectrum: tuple[int, ...],
+                 gaps: tuple[int, ...], filtration: ToomerFiltration,
+                 total_h_plus: int, model: SullivanModel):
+        self.e0_algebra = e0_algebra
+        self.cat0 = cat0  # = e0 under the ellipticity certificate
+        self.spectrum = spectrum  # mu_k, k = 0..e0
+        self.gaps = gaps
+        self.filtration = filtration
+        self.total_h_plus = total_h_plus
+        self.model = model
+
+    def __repr__(self) -> str:
+        return (f"ToomerReport(e0_algebra={self.e0_algebra!r}, cat0={self.cat0!r}, "
+                f"spectrum={self.spectrum!r}, gaps={self.gaps!r}, "
+                f"filtration={self.filtration!r}, total_h_plus={self.total_h_plus!r})")
 
     @cached_property
     def per_class(self) -> tuple[tuple[int, ...], ...]:
@@ -216,8 +222,7 @@ def toomer_via_fundamental_class(model: SullivanModel) -> int:
     return toomer_of_class(model, engine.fundamental_class())
 
 
-@dataclass(frozen=True)
-class GapScanRecord:
+class GapScanRecord(NamedTuple):
     model_name: str
     model_text: str
     seed: int | None

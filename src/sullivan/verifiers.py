@@ -9,7 +9,7 @@ the serialized model text alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cohomology import engine_for
 from .linalg import reduce_rows
@@ -21,13 +21,19 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    theorem_id: str
-    model_id: str
-    verdict: str
-    witnesses: dict = field(default_factory=dict)
-    derived: dict = field(default_factory=dict)
+    def __init__(self, theorem_id: str, model_id: str, verdict: str,
+                 witnesses: dict | None = None, derived: dict | None = None):
+        self.theorem_id = theorem_id
+        self.model_id = model_id
+        self.verdict = verdict
+        self.witnesses = {} if witnesses is None else witnesses
+        self.derived = {} if derived is None else derived
+
+    def __repr__(self) -> str:
+        return (f"VerificationReport(theorem_id={self.theorem_id!r}, "
+                f"model_id={self.model_id!r}, verdict={self.verdict!r}, "
+                f"witnesses={self.witnesses!r}, derived={self.derived!r})")
 
     @property
     def passed(self) -> bool:
@@ -40,8 +46,7 @@ def _model_id(model: SullivanModel) -> str:
 
 def _not_applicable(theorem_id, model, reason, derived=None) -> VerificationReport:
     return VerificationReport(
-        theorem_id, _model_id(model), NOT_APPLICABLE,
-        {"reason": reason}, derived or {},
+        theorem_id, _model_id(model), NOT_APPLICABLE, {"reason": reason}, derived
     )
 
 
@@ -310,8 +315,7 @@ def verify_nilmanifold(model: SullivanModel) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class Conjecture5Record:
+class Conjecture5Record(NamedTuple):
     model_id: str
     branch: str  # 'two-dimensional' | 'truncated-polynomial' | 'counterexample'
     e: int

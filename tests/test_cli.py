@@ -285,3 +285,17 @@ def test_closed_stdout_keeps_exit_code_without_traceback():
         proc.kill()
     assert proc.returncode == 0
     assert err == b""
+
+
+def test_cli_import_loads_no_dataclasses():
+    # a @dataclass builds its methods by exec when its module is imported,
+    # about 0.65 ms per class on every start; records are NamedTuples or
+    # plain classes instead
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import sullivan.cli; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "False\n", (
+        "importing sullivan.cli loaded dataclasses: no module under src/sullivan "
+        "may use @dataclass (use typing.NamedTuple or a plain class)")

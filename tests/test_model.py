@@ -273,8 +273,22 @@ def test_random_model_family_of_5gen_example():
 
 
 def test_random_model_infeasible_params():
-    with pytest.raises(ValueError):
-        random_elliptic_model(0, RandomModelParams(n_even=3, n_odd=1))
+    # gap-scan prints these messages as usage errors
+    for params, message in [
+        ({"n_even": -1, "n_odd": 1}, "the number of even generators must be >= 0"),
+        ({"n_even": 3, "n_odd": 1}, "infeasible parameters: a pure model needs at least "
+                                    "as many odd generators as even ones to be elliptic"),
+        ({"l": 1}, "differential length must be >= 2"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            random_elliptic_model(0, RandomModelParams(**params))
+        assert str(err.value) == message
+
+
+def test_random_model_params_repr():
+    assert repr(RandomModelParams(1, leading_odd_sphere=True)) == (
+        "RandomModelParams(n_even=1, n_odd=2, l=2, max_even_degree=2, "
+        "leading_odd_sphere=True, max_attempts=64)")
 
 
 def test_random_model_budget_error_is_explicit():

@@ -8,7 +8,12 @@ import pytest
 
 from sullivan.cli import main
 from sullivan.library import library
-from sullivan.model import ModelValidationError, RandomModelParams, random_elliptic_model
+from sullivan.model import (
+    ModelValidationError,
+    RandomModelParams,
+    make_model,
+    random_elliptic_model,
+)
 from sullivan.parser import ModelSyntaxError, parse_model, print_model
 
 S2_TEXT = "gen x 2\ngen y 3\nd y = x^2\n"
@@ -134,6 +139,13 @@ def test_two_faulty_d_lines_report_both():
         parse_model(text)
     assert [(v.generator, v.condition, v.line) for v in err.value.violations] == [
         ("z", "degree-shift", 4), ("w", "monomial", 6)]
+    # the parser adds the line to a copy of each violation of the model itself
+    with pytest.raises(ModelValidationError) as unparsed:
+        make_model([("x", 2), ("y", 3), ("z", 3), ("w", 7)],
+                   {"z": {(3, 0, 0, 0): 1}, "w": {(1, 2, 0, 0): 1}})
+    assert [v.line for v in unparsed.value.violations] == [None, None]
+    assert [(v.generator, v.condition, v.message) for v in err.value.violations] == [
+        (v.generator, v.condition, v.message) for v in unparsed.value.violations]
 
 
 def test_parse_double_definition():

@@ -262,7 +262,12 @@ def test_corrupted_theta_fails_exactness():
         for ungraded in (False, True):
             les = build_wang(model, ungraded=ungraded)
             assert check_exactness(les).all_exact
+            maps = dict(les.maps)
+            entries = {key: dict(m.matrix._entries) for key, m in maps.items()}
             bad = corrupt_connecting_sign(les)
+            # the input is left as it was
+            assert les.maps == maps
+            assert {key: m.matrix._entries for key, m in les.maps.items()} == entries
             report = check_exactness(bad)
             assert not report.all_exact, (model.name, ungraded)
             failure = report.failures[0]

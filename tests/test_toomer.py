@@ -113,6 +113,20 @@ def test_spectrum_heisenberg():
     assert report.gaps == ()
 
 
+def test_per_class_is_computed_on_first_read_only(monkeypatch):
+    import sullivan.toomer as toomer
+
+    calls = []
+    monkeypatch.setattr(toomer, "toomer_of_class",
+                        lambda model, cls: calls.append(cls) or cls.degree)
+    report = e0_spectrum(parse_model(print_model(get_model("example-5gen"))))
+    assert calls == []
+    first = report.per_class
+    n_classes = len(calls)
+    assert n_classes == sum(len(v) for v in first) > 0
+    assert report.per_class is first and len(calls) == n_classes
+
+
 def test_spectrum_mass_is_h_plus():
     for name in ["cp:2", "example-5gen", "nil5", "mixed:1", "mixed:5"]:
         report = e0_spectrum(get_model(name))

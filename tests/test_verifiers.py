@@ -5,6 +5,7 @@ import pytest
 from sullivan.library import get_model
 from sullivan.model import make_model
 from sullivan.verifiers import (
+    VerificationReport,
     classify_conjecture5,
     odd_cocycle_kernel_dimension,
     scan_conjecture5,
@@ -211,9 +212,22 @@ def test_conjecture5_rejects_bad_inputs():
 def test_negative_controls_route_to_not_applicable():
     non_elliptic = make_model([("x", 2)])
     mixed = get_model("mixed:4")
+    reports = []
     for checker in (verify_theorem2, verify_lemma1, verify_theorem3):
-        assert checker(non_elliptic).verdict == "not-applicable"
-        assert checker(mixed).verdict == "not-applicable"
+        reports += [checker(non_elliptic), checker(mixed), checker(mixed)]
+    assert all(r.verdict == "not-applicable" for r in reports)
+    # every report owns its dicts
+    assert len({id(r.witnesses) for r in reports}) == len(reports)
+    assert len({id(r.derived) for r in reports}) == len(reports)
+
+
+def test_verification_report_defaults_and_repr():
+    a, b = VerificationReport("t", "m", "pass"), VerificationReport("t", "m", "pass")
+    assert a.witnesses == a.derived == {}
+    assert a.witnesses is not b.witnesses and a.derived is not b.derived
+    assert repr(VerificationReport("theorem2", "cp:2", "fail", {"A": "x"})) == (
+        "VerificationReport(theorem_id='theorem2', model_id='cp:2', verdict='fail', "
+        "witnesses={'A': 'x'}, derived={})")
 
 
 def test_verify_all_structure():
