@@ -110,11 +110,6 @@ class BigradedTable(NamedTuple):
     e_top: int
     formal_dimension: int
 
-    def dim(self, i: int, k: int) -> int:
-        if 0 <= i < len(self.h) and 0 <= k < len(self.h[i]):
-            return self.h[i][k]
-        return 0
-
     def length_dims(self) -> tuple[int, ...]:
         """Total dimension of H^*_k per k."""
         return tuple(

@@ -50,6 +50,7 @@ from .cohomology import (
 )
 from .linalg import Echelon, reduce_rows
 from .model import SullivanModel
+from .parser import print_model
 
 
 def _by_length(p: Polynomial) -> dict:
@@ -241,8 +242,6 @@ def gap_scan(corpus) -> list[GapScanRecord]:
     corpus: iterable of (model, seed-or-None).  Results come back sorted
     by model name.
     """
-    from .parser import print_model
-
     records = []
     for model, seed in corpus:
         report = e0_spectrum(model)

@@ -5,15 +5,20 @@ other way round: a fail verdict on a certified model means an
 implementation bug until the model and the computation survive an audit.
 Reports carry every derived quantity needed to re-check a verdict from
 the serialized model text alone.
+
+A verdict is read off the witnesses: each failing condition records one,
+and the verdict is pass exactly when no condition left a witness.  A
+not-applicable report carries the unmet hypothesis as its `reason`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cohomology import engine_for
+from .algebra import multiply
+from .cohomology import NotEllipticError, NotHomogeneousError, engine_for
 from .linalg import reduce_rows
-from .model import SullivanModel
+from .model import SullivanModel, quotient_model
 from .toomer import e0_spectrum, toomer_of_algebra
 
 PASS = "pass"
@@ -50,6 +55,12 @@ def _not_applicable(theorem_id, model, reason, derived=None) -> VerificationRepo
     )
 
 
+def _report(theorem_id, model, witnesses, derived) -> VerificationReport:
+    return VerificationReport(
+        theorem_id, _model_id(model), FAIL if witnesses else PASS, witnesses, derived
+    )
+
+
 def _hypotheses(model: SullivanModel):
     """Common hypothesis screen: returns (profile, reason), reason None
     when the model is homogeneous and certified elliptic."""
@@ -74,11 +85,10 @@ def verify_theorem2(model: SullivanModel) -> VerificationReport:
     profile, reason = _hypotheses(model)
     if reason:
         return _not_applicable("theorem2", model, reason)
-    engine = engine_for(model)
     l = profile.l
     e = _e_formula(model, l)
     report = e0_spectrum(model)
-    table = engine.bigraded_profile()
+    table = engine_for(model).bigraded_profile()
     p = model.min_degree
 
     derived = {
@@ -90,26 +100,20 @@ def verify_theorem2(model: SullivanModel) -> VerificationReport:
     }
     derived.update(_quotient_ladder(model))
     witnesses = {}
-    a_ok = report.e0_algebra == e
-    if not a_ok:
+    if report.e0_algebra != e:
         witnesses["A"] = f"toomer_of_algebra = {report.e0_algebra} != e = {e}"
-    b_ok = len(report.spectrum) == e + 1 and all(m > 0 for m in report.spectrum)
-    if not b_ok:
+    if not (len(report.spectrum) == e + 1 and all(m > 0 for m in report.spectrum)):
         witnesses["B"] = f"spectrum {list(report.spectrum)} has a gap below e = {e}"
     c_witness = _condition_c(table, p, e)
     if c_witness:
         witnesses["C"] = c_witness
-    verdict = PASS if (a_ok and b_ok and not c_witness) else FAIL
-    return VerificationReport("theorem2", _model_id(model), verdict, witnesses, derived)
+    return _report("theorem2", model, witnesses, derived)
 
 
 def _quotient_ladder(model: SullivanModel) -> dict:
     """The quotient model's own e/n_k/N_k (the induction bookkeeping):
     f = e(Lambda W), m_k/M_k its extremes, when W is homogeneous and
     certified."""
-    from .cohomology import NotEllipticError, NotHomogeneousError
-    from .model import quotient_model
-
     if not model.generators:
         return {}
     try:
@@ -137,11 +141,11 @@ def verify_lemma1(model: SullivanModel) -> VerificationReport:
     _, reason = _hypotheses(model)
     if reason:
         return _not_applicable("lemma1", model, reason)
-    engine = engine_for(model)
-    table = engine.bigraded_profile()
+    table = engine_for(model).bigraded_profile()
     e = table.e_top
     n = table.formal_dimension
-    if any(table.length_dims()[k] == 0 for k in range(1, e)):
+    dims = table.length_dims()
+    if any(dims[k] == 0 for k in range(1, e)):
         return _not_applicable(
             "lemma1", model, "H_k = 0 for some middle k; lemma hypotheses unmet"
         )
@@ -151,10 +155,8 @@ def verify_lemma1(model: SullivanModel) -> VerificationReport:
         "n_k": list(table.n_k), "N_k": list(table.N_k),
     }
     witnesses = {}
-    dual_ok = True
     for k in range(1, e):
         if table.n_k[k] != n - table.N_k[e - k]:
-            dual_ok = False
             witnesses[f"duality k={k}"] = (
                 f"n_{k} = {table.n_k[k]} != N - N_(e-{k}) = {n - table.N_k[e - k]}"
             )
@@ -162,11 +164,9 @@ def verify_lemma1(model: SullivanModel) -> VerificationReport:
     cond_b = _ladder_b(table.N_k, p, e) is None
     derived["condition_a"] = cond_a
     derived["condition_b"] = cond_b
-    equiv_ok = cond_a == cond_b
-    if not equiv_ok:
+    if cond_a != cond_b:
         witnesses["equivalence"] = f"(a) = {cond_a} but (b) = {cond_b}"
-    verdict = PASS if (dual_ok and equiv_ok) else FAIL
-    return VerificationReport("lemma1", _model_id(model), verdict, witnesses, derived)
+    return _report("lemma1", model, witnesses, derived)
 
 
 def _ladder_a(n_k, p: int, e: int) -> str | None:
@@ -207,6 +207,18 @@ def odd_cocycle_kernel_dimension(model: SullivanModel) -> int:
     return total
 
 
+def _odd_kernel_unmet(theorem_id, model, derived) -> VerificationReport | None:
+    """Records dim ker(d: V^odd -> Lambda V) in `derived`; the
+    not-applicable report when it is 0, else None."""
+    kernel_dim = odd_cocycle_kernel_dimension(model)
+    derived["odd_cocycle_kernel"] = kernel_dim
+    if kernel_dim == 0:
+        return _not_applicable(
+            theorem_id, model, "ker(d: V^odd -> Lambda V) = 0; hypothesis unmet", derived,
+        )
+    return None
+
+
 def verify_theorem3(model: SullivanModel) -> VerificationReport:
     """With an odd spherical generator, every middle length is realized
     at least twice."""
@@ -217,22 +229,14 @@ def verify_theorem3(model: SullivanModel) -> VerificationReport:
     e = _e_formula(model, l)
     report = e0_spectrum(model)
     derived = {"e": e, "l": l, "mu": list(report.spectrum)}
-    kernel_dim = odd_cocycle_kernel_dimension(model)
-    derived["odd_cocycle_kernel"] = kernel_dim
-    if kernel_dim == 0:
-        return _not_applicable(
-            "theorem3", model,
-            "ker(d: V^odd -> Lambda V) = 0; hypothesis unmet", derived,
-        )
+    unmet = _odd_kernel_unmet("theorem3", model, derived)
+    if unmet:
+        return unmet
     witnesses = {}
-    ok = True
     for k in range(1, e):
         if report.spectrum[k] < 2:
-            ok = False
             witnesses[f"k={k}"] = f"dim H_{k} = {report.spectrum[k]} < 2"
-    return VerificationReport(
-        "theorem3", _model_id(model), PASS if ok else FAIL, witnesses, derived
-    )
+    return _report("theorem3", model, witnesses, derived)
 
 
 def verify_corollary4(model: SullivanModel) -> VerificationReport:
@@ -240,22 +244,14 @@ def verify_corollary4(model: SullivanModel) -> VerificationReport:
     _, reason = _hypotheses(model)
     if reason:
         return _not_applicable("corollary4", model, reason)
-    engine = engine_for(model)
-    total = engine.cohomology_table().total_dimension
+    total = engine_for(model).cohomology_table().total_dimension
     e0 = toomer_of_algebra(model)
     derived = {"total_dim_H": total, "e0": e0, "sharp": total == 2 * e0}
-    kernel_dim = odd_cocycle_kernel_dimension(model)
-    derived["odd_cocycle_kernel"] = kernel_dim
-    if kernel_dim == 0:
-        return _not_applicable(
-            "corollary4", model,
-            "ker(d: V^odd -> Lambda V) = 0; hypothesis unmet", derived,
-        )
-    ok = total >= 2 * e0
-    witnesses = {} if ok else {"bound": f"dim H = {total} < 2 e0 = {2 * e0}"}
-    return VerificationReport(
-        "corollary4", _model_id(model), PASS if ok else FAIL, witnesses, derived
-    )
+    unmet = _odd_kernel_unmet("corollary4", model, derived)
+    if unmet:
+        return unmet
+    witnesses = {} if total >= 2 * e0 else {"bound": f"dim H = {total} < 2 e0 = {2 * e0}"}
+    return _report("corollary4", model, witnesses, derived)
 
 
 def verify_remark2(model: SullivanModel) -> VerificationReport:
@@ -271,11 +267,8 @@ def verify_remark2(model: SullivanModel) -> VerificationReport:
     bound = _e_formula(model, l)
     e0 = toomer_of_algebra(model)
     derived = {"l": l, "bound": bound, "e0": e0, "profile": engine.profile.kind}
-    ok = e0 >= bound
-    witnesses = {} if ok else {"bound": f"e0 = {e0} < {bound}"}
-    return VerificationReport(
-        "remark2", _model_id(model), PASS if ok else FAIL, witnesses, derived
-    )
+    witnesses = {} if e0 >= bound else {"bound": f"e0 = {e0} < {bound}"}
+    return _report("remark2", model, witnesses, derived)
 
 
 def verify_nilmanifold(model: SullivanModel) -> VerificationReport:
@@ -285,10 +278,9 @@ def verify_nilmanifold(model: SullivanModel) -> VerificationReport:
         return _not_applicable(
             "nilmanifold", model, "not a nilmanifold model (generators above degree 1)"
         )
-    cert = engine_for(model).certify()
-    if not cert.ok:
-        return _not_applicable("nilmanifold", model, "no ellipticity certificate")
     engine = engine_for(model)
+    if not engine.certify().ok:
+        return _not_applicable("nilmanifold", model, "no ellipticity certificate")
     n = len(model.generators)
     table = engine.cohomology_table()
     e0 = toomer_of_algebra(model)
@@ -299,20 +291,14 @@ def verify_nilmanifold(model: SullivanModel) -> VerificationReport:
         "e0": e0,
     }
     witnesses = {}
-    ok = True
     for i in range(1, n):
         if table.betti[i] < 2:
-            ok = False
             witnesses[f"b_{i}"] = f"b_{i} = {table.betti[i]} < 2"
     if table.total_dimension < 2 * n:
-        ok = False
         witnesses["total"] = f"dim H = {table.total_dimension} < 2 dim X = {2 * n}"
     if e0 != n:
-        ok = False
         witnesses["e0"] = f"e0 = {e0} != dim X = {n}"
-    return VerificationReport(
-        "nilmanifold", _model_id(model), PASS if ok else FAIL, witnesses, derived
-    )
+    return _report("nilmanifold", model, witnesses, derived)
 
 
 class Conjecture5Record(NamedTuple):
@@ -366,8 +352,6 @@ def _is_truncated_polynomial(engine) -> bool:
     if nonzero != [p * j for j in range(1, t + 1)]:
         return False
     # cup powers of the bottom class must span every step
-    from .algebra import multiply
-
     z = engine.classes(p)[0].representative
     power = dict(z)
     for j in range(2, t + 1):
@@ -392,12 +376,8 @@ def verify_conjecture5(model: SullivanModel) -> VerificationReport:
         return _not_applicable("conjecture5", model, reason)
     record = classify_conjecture5(model)
     derived = {"branch": record.branch, "e": record.e, "mu": list(record.mu)}
-    if record.branch == "counterexample":
-        return VerificationReport(
-            "conjecture5", _model_id(model), FAIL,
-            {"counterexample": record.detail}, derived,
-        )
-    return VerificationReport("conjecture5", _model_id(model), PASS, {}, derived)
+    witnesses = {"counterexample": record.detail} if record.branch == "counterexample" else {}
+    return _report("conjecture5", model, witnesses, derived)
 
 
 ALL_THEOREMS = {

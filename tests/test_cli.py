@@ -238,6 +238,22 @@ def test_internal_error_exit_5(monkeypatch, capsys):
     assert "synthetic breach" in doc["error"]
 
 
+def test_model_and_lib_together_exit_2(tmp_path, capsys):
+    path = tmp_path / "model.sul"
+    path.write_text(model_text("cp:2"))
+    assert main(["toomer", "--model", str(path), "--lib", "cp:2"]) == 2
+    assert capsys.readouterr().out == "usage error: give either --model or --lib, not both\n"
+
+
+def test_unexpected_exception_exit_5_one_line(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_toomer", boom)
+    assert main(["toomer", "--lib", "sphere:2"]) == 5
+    assert capsys.readouterr().out == "internal error: RuntimeError: first line\n"
+
+
 def test_corrupted_integration_functional_exits_5(monkeypatch, capsys):
     from sullivan.linalg import Echelon
 

@@ -303,3 +303,7 @@ def test_random_model_budget_error_is_explicit():
         except GenerationBudgetError:
             continue
         assert certify_elliptic(m).ok
+    # seed 59 is the first whose single attempt fails
+    with pytest.raises(GenerationBudgetError) as err:
+        random_elliptic_model(59, params)
+    assert str(err.value) == "no elliptic model found in 1 attempts (seed 59)"

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from sullivan import verifiers
+from sullivan.cohomology import CohomologyEngine, engine_for
 from sullivan.library import get_model
 from sullivan.model import make_model
 from sullivan.verifiers import (
     VerificationReport,
+    _is_truncated_polynomial,
     classify_conjecture5,
     odd_cocycle_kernel_dimension,
     scan_conjecture5,
@@ -14,6 +18,7 @@ from sullivan.verifiers import (
     verify_lemma1,
     verify_nilmanifold,
     verify_remark2,
+    verify_conjecture5,
     verify_theorem2,
     verify_theorem3,
 )
@@ -240,8 +245,6 @@ def test_verify_all_structure():
 
 
 def test_verify_conjecture5_branches():
-    from sullivan.verifiers import verify_conjecture5
-
     r = verify_conjecture5(get_model("cp:3"))
     assert r.passed and r.derived["branch"] == "truncated-polynomial"
     r = verify_conjecture5(get_model("example-5gen"))
@@ -259,3 +262,99 @@ def test_verdicts_reproducible_from_serialized_text():
         first = [(r.theorem_id, r.verdict) for r in verify_all(original)]
         second = [(r.theorem_id, r.verdict) for r in verify_all(replayed)]
         assert first == second, name
+
+
+# Negative controls: every fail branch of every checker.  Each case feeds
+# one checker a quantity that breaks exactly one condition on a model where
+# every checker passes (heisenberg: p = 1, e = 3, N = 3, mu = [1, 2, 2, 1];
+# example-5gen: p = 2, e = 3, N = 7, n_k = N_k = [0, 2, 5, 7]) and pins the
+# whole witness dict.
+FAIL_CASES = [
+    ("theorem2 A", verify_theorem2, "heisenberg", {"spectrum": (4, (1, 2, 2, 1))},
+     {"A": "toomer_of_algebra = 4 != e = 3"}),
+    ("theorem2 B zero", verify_theorem2, "heisenberg", {"spectrum": (3, (1, 2, 0, 1))},
+     {"B": "spectrum [1, 2, 0, 1] has a gap below e = 3"}),
+    # a negative drop must not pass as a nonzero one
+    ("theorem2 B negative", verify_theorem2, "heisenberg",
+     {"spectrum": (3, (1, 3, -1, 1))},
+     {"B": "spectrum [1, 3, -1, 1] has a gap below e = 3"}),
+    ("theorem2 B short", verify_theorem2, "heisenberg", {"spectrum": (3, (1, 2, 2))},
+     {"B": "spectrum [1, 2, 2] has a gap below e = 3"}),
+    ("theorem2 C undefined", verify_theorem2, "heisenberg",
+     {"bigraded": {"n_k": (0, 1, None, 3)}},
+     {"C": "some H_k vanishes, the ladder is undefined"}),
+    ("theorem2 C ladder a start", verify_theorem2, "heisenberg",
+     {"bigraded": {"n_k": (0, 2, 3, 4)}}, {"C": "n_1 = 2 != p = 1"}),
+    ("theorem2 C ladder a step", verify_theorem2, "heisenberg",
+     {"bigraded": {"n_k": (0, 1, 1, 3)}}, {"C": "n_2 = 1 < n_1 + p = 2"}),
+    ("theorem2 C ladder b step", verify_theorem2, "heisenberg",
+     {"bigraded": {"N_k": (0, 1, 1, 3)}}, {"C": "N_2 = 1 < N_1 + p = 2"}),
+    ("theorem2 C ladder b top", verify_theorem2, "heisenberg",
+     {"bigraded": {"N_k": (0, 1, 2, 4)}}, {"C": "N_e = 4 != N_(e-1) + p = 3"}),
+    ("lemma1 duality", verify_lemma1, "example-5gen",
+     {"bigraded": {"n_k": (0, 2, 4, 7)}},
+     {"duality k=2": "n_2 = 4 != N - N_(e-2) = 5"}),
+    ("lemma1 equivalence", verify_lemma1, "example-5gen",
+     {"bigraded": {"n_k": (0, 2, 5, 6)}},
+     {"equivalence": "(a) = False but (b) = True"}),
+    ("theorem3 k", verify_theorem3, "heisenberg", {"spectrum": (3, (1, 2, 1, 1))},
+     {"k=2": "dim H_2 = 1 < 2"}),
+    ("corollary4 bound", verify_corollary4, "heisenberg", {"e0": 4},
+     {"bound": "dim H = 6 < 2 e0 = 8"}),
+    ("remark2 bound", verify_remark2, "heisenberg", {"e0": 2},
+     {"bound": "e0 = 2 < 3"}),
+    ("nilmanifold b_i", verify_nilmanifold, "heisenberg",
+     {"table": {"betti": (1, 1, 2, 1)}}, {"b_1": "b_1 = 1 < 2"}),
+    ("nilmanifold total", verify_nilmanifold, "heisenberg",
+     {"table": {"total_dimension": 5}}, {"total": "dim H = 5 < 2 dim X = 6"}),
+    ("nilmanifold e0", verify_nilmanifold, "heisenberg", {"e0": 4},
+     {"e0": "e0 = 4 != dim X = 3"}),
+    ("conjecture5 counterexample", verify_conjecture5, "heisenberg",
+     {"spectrum": (3, (1, 1, 3, 1)), "truncated": False},
+     {"counterexample": "neither branch holds -- a research-grade finding "
+                        "if the model is audited"}),
+]
+
+
+def _table_patch(method, fields):
+    original = getattr(CohomologyEngine, method)
+    return lambda self: original(self)._replace(**fields)
+
+
+@pytest.mark.parametrize("checker, name, patches, witnesses",
+                         [case[1:] for case in FAIL_CASES],
+                         ids=[case[0] for case in FAIL_CASES])
+def test_fail_branch_reports_its_witness(monkeypatch, checker, name, patches, witnesses):
+    model = get_model(name)
+    assert checker(model).verdict == "pass"
+    if "spectrum" in patches:
+        e0, mu = patches["spectrum"]
+        fake = SimpleNamespace(e0_algebra=e0, spectrum=mu)
+        monkeypatch.setattr(verifiers, "e0_spectrum", lambda m: fake)
+    if "e0" in patches:
+        monkeypatch.setattr(verifiers, "toomer_of_algebra", lambda m: patches["e0"])
+    if "bigraded" in patches:
+        monkeypatch.setattr(CohomologyEngine, "bigraded_profile",
+                            _table_patch("bigraded_profile", patches["bigraded"]))
+    if "table" in patches:
+        monkeypatch.setattr(CohomologyEngine, "cohomology_table",
+                            _table_patch("cohomology_table", patches["table"]))
+    if "truncated" in patches:
+        monkeypatch.setattr(verifiers, "_is_truncated_polynomial",
+                            lambda engine: patches["truncated"])
+    report = checker(model)
+    assert report.verdict == "fail" and not report.passed
+    assert report.witnesses == witnesses
+
+
+@pytest.mark.parametrize("name, model", [
+    # b_1 = 2: not a truncated polynomial Betti pattern
+    ("heisenberg", get_model("heisenberg")),
+    # S^2 x S^4 has the Betti pattern of Q[z]/z^4 with |z| = 2, but z^2 = 0
+    ("S2xS4", make_model(
+        [("x", 2), ("y", 3), ("a", 4), ("b", 7)],
+        {"y": {(2, 0, 0, 0): Fraction(1)}, "b": {(0, 0, 2, 0): Fraction(1)}},
+    )),
+])
+def test_is_truncated_polynomial_rejects(name, model):
+    assert not _is_truncated_polynomial(engine_for(model))
