@@ -27,7 +27,6 @@ from .model import (
     quotient_model,
     random_elliptic_model,
     validate,
-    wang_derivation,
 )
 from .parser import ModelSyntaxError, parse_model, print_model
 from .sequences import (
@@ -35,7 +34,6 @@ from .sequences import (
     build_gysin,
     build_wang,
     check_exactness,
-    corrupt_connecting_sign,
     formal_dimension_relation,
 )
 from .toomer import (
@@ -44,7 +42,6 @@ from .toomer import (
     gap_scan,
     toomer_of_algebra,
     toomer_of_class,
-    toomer_via_fundamental_class,
 )
 from .verifiers import (
     VerificationReport,

@@ -44,9 +44,6 @@ class Derivation(NamedTuple):
     degree_shift: int
     values: tuple[Polynomial, ...]
 
-    def value_on(self, index: int) -> Polynomial:
-        return self.values[index]
-
 
 def monomial_degree(gens, m: Monomial) -> int:
     return sum(e * g.degree for e, g in zip(m, gens))
@@ -78,13 +75,6 @@ def koszul_sign(gens, m1: Monomial, m2: Monomial) -> int:
     return -1 if transpositions % 2 else 1
 
 
-def multiply_monomials(gens, m1: Monomial, m2: Monomial) -> tuple[Monomial, int]:
-    sign = koszul_sign(gens, m1, m2)
-    if sign == 0:
-        return m1, 0
-    return tuple(a + b for a, b in zip(m1, m2)), sign
-
-
 def poly(terms=None) -> Polynomial:
     """Build a polynomial, dropping zero coefficients."""
     out: Polynomial = {}
@@ -101,9 +91,10 @@ def multiply(gens, p: Polynomial, q: Polynomial) -> Polynomial:
     out: Polynomial = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m, sign = multiply_monomials(gens, m1, m2)
+            sign = koszul_sign(gens, m1, m2)
             if sign == 0:
                 continue
+            m = tuple(a + b for a, b in zip(m1, m2))
             s = out.get(m, 0) + sign * c1 * c2
             if s:
                 out[m] = s

@@ -285,7 +285,8 @@ def _cmd_toomer(args):
     return EXIT_OK, payload, lines
 
 
-def _cmd_sequence(args, kind):
+def _cmd_sequence(args):
+    kind = args.command
     model = _load_model(args)
     build = build_wang if kind == "wang" else build_gysin
     les = build(model, ungraded=args.ungraded)
@@ -445,8 +446,8 @@ def _execute(args) -> tuple[int, dict]:
         "cohomology": _cmd_cohomology,
         "bigraded": _cmd_bigraded,
         "toomer": _cmd_toomer,
-        "wang": lambda a: _cmd_sequence(a, "wang"),
-        "gysin": lambda a: _cmd_sequence(a, "gysin"),
+        "wang": _cmd_sequence,
+        "gysin": _cmd_sequence,
         "verify": _cmd_verify,
         "gap-scan": _cmd_gap_scan,
         "library": _cmd_library,

@@ -1,5 +1,5 @@
-"""Sullivan models: construction, validation, length profiles, quotients,
-the Wang derivation, and seeded random elliptic models."""
+"""Sullivan models: construction, validation, length profiles, quotients
+and seeded random elliptic models."""
 
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ class SullivanModel:
         return min(g.degree for g in self.generators)
 
     def d_of(self, index: int) -> Polynomial:
-        return self.differential.value_on(index)
+        return self.differential.values[index]
 
     def d(self, p: Polynomial) -> Polynomial:
         return apply_derivation(self.generators, self.differential, p)
@@ -234,15 +234,11 @@ def length_profile(model: SullivanModel) -> LengthProfile:
     return LengthProfile("bounded_below", min(lengths))
 
 
-# -- quotient by the first generator and the Wang derivation ------------
+# -- quotient by the first generator ------------------------------------
 
 
 class QuotientError(ValueError):
     pass
-
-
-def _strip_first(m: Monomial) -> Monomial:
-    return m[1:]
 
 
 def quotient_model(model: SullivanModel, gen: Generator) -> SullivanModel:
@@ -259,7 +255,7 @@ def quotient_model(model: SullivanModel, gen: Generator) -> SullivanModel:
     values = []
     for g in model.generators[1:]:
         dv = model.d_of(g.index)
-        stripped = {_strip_first(m): c for m, c in dv.items() if m[0] == 0}
+        stripped = {m[1:]: c for m, c in dv.items() if m[0] == 0}
         values.append(poly(stripped))
     quotient = SullivanModel(
         new_gens,
@@ -267,26 +263,6 @@ def quotient_model(model: SullivanModel, gen: Generator) -> SullivanModel:
         name=f"{model.name}/{gen.name}" if model.name else None,
     )
     return validate(quotient)
-
-
-def wang_derivation(model: SullivanModel, gen: Generator) -> Derivation:
-    """The derivation theta on Lambda W defined by splitting
-    d(chi) = dbar(chi) + x1 * theta(chi) for an odd cocycle first
-    generator x1; theta has degree shift -(|x1| - 1)."""
-    if gen.index != 0:
-        raise QuotientError(f"{gen.name} is not the first generator")
-    if not gen.is_odd:
-        raise QuotientError(f"{gen.name} has even degree; the Wang split needs an odd generator")
-    if model.d_of(0):
-        raise QuotientError(f"d({gen.name}) != 0")
-    values = []
-    for g in model.generators[1:]:
-        dv = model.d_of(g.index)
-        # x1 is leftmost in canonical order, so each x1-term is exactly
-        # x1 * (monomial with the exponent dropped) -- no sign appears.
-        part = {_strip_first(m): c for m, c in dv.items() if m[0] == 1}
-        values.append(poly(part))
-    return Derivation(-(gen.degree - 1), tuple(values))
 
 
 # -- random elliptic models ---------------------------------------------

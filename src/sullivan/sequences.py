@@ -46,27 +46,17 @@ class LesMap(NamedTuple):
     matrix: RatMatrix  # target-class coordinates of each source class
 
 
-class LesData:
-    def __init__(self, kind: str, bigraded: bool, model: SullivanModel,
-                 quotient: SullivanModel, x1_degree: int, l: int, i_max: int,
-                 k_max: int | None, dims: dict[NodeKey, int],
-                 maps: dict[tuple[str, int, int | None], LesMap]):
-        self.kind = kind  # 'wang' | 'gysin'
-        self.bigraded = bigraded
-        self.model = model
-        self.quotient = quotient
-        self.x1_degree = x1_degree
-        self.l = l
-        self.i_max = i_max
-        self.k_max = k_max
-        self.dims = dims
-        self.maps = maps  # keyed by (kind, source i, source k)
-
-    def __repr__(self) -> str:
-        return (f"LesData(kind={self.kind!r}, bigraded={self.bigraded!r}, "
-                f"model={self.model!r}, quotient={self.quotient!r}, "
-                f"x1_degree={self.x1_degree!r}, l={self.l!r}, i_max={self.i_max!r}, "
-                f"k_max={self.k_max!r}, dims={self.dims!r}, maps={self.maps!r})")
+class LesData(NamedTuple):
+    kind: str  # 'wang' | 'gysin'
+    bigraded: bool
+    model: SullivanModel
+    quotient: SullivanModel
+    x1_degree: int
+    l: int
+    i_max: int
+    k_max: int | None
+    dims: dict[NodeKey, int]
+    maps: dict[tuple[str, int, int | None], LesMap]  # keyed by (kind, source i, source k)
 
     def dim(self, key: NodeKey) -> int:
         return self.dims.get(key, 0)
@@ -335,30 +325,6 @@ def _exactness_witness(in_mat: RatMatrix, out_mat: RatMatrix, composite: RatMatr
         if solve_membership(in_mat, kvec) is None:
             return kvec
     return in_mat.column(min(c for _, c in composite._entries))
-
-
-def corrupt_connecting_sign(les: LesData) -> LesData:
-    """Negative control: flip the sign of one entry of a connecting-map
-    matrix, inside a column with >= 2 nonzero entries (a plain rescaling
-    of a basis vector would leave every kernel and image unchanged).
-    Raises when no connecting column mixes classes."""
-    connecting = _cycle(les.kind, les.x1_degree, les.l)[2].name
-    # the first in (degree, length) order; k is None on every key or on none
-    for key in sorted(key for key in les.maps if key[0] == connecting):
-        lmap = les.maps[key]
-        mat = lmap.matrix
-        for c in range(mat.cols):
-            rows = [r for r in range(mat.rows) if mat.entry(r, c)]
-            if len(rows) >= 2:
-                entries = dict(mat._entries)
-                entries[(rows[0], c)] = -entries[(rows[0], c)]
-                new_map = lmap._replace(matrix=RatMatrix(mat.rows, mat.cols, entries))
-                return LesData(les.kind, les.bigraded, les.model, les.quotient,
-                               les.x1_degree, les.l, les.i_max, les.k_max,
-                               les.dims, {**les.maps, key: new_map})
-    raise ValueError(
-        "no connecting-map column mixes two classes; sign corruption would be invisible"
-    )
 
 
 def _dimension_relation(model: SullivanModel, quotient: SullivanModel) -> DimensionRelationVerdict:

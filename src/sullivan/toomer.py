@@ -218,11 +218,6 @@ def toomer_of_algebra(model: SullivanModel) -> int:
     return e0_spectrum(model).e0_algebra
 
 
-def toomer_via_fundamental_class(model: SullivanModel) -> int:
-    engine = engine_for(model)
-    return toomer_of_class(model, engine.fundamental_class())
-
-
 class GapScanRecord(NamedTuple):
     model_name: str
     model_text: str

@@ -232,10 +232,9 @@ def verify_theorem3(model: SullivanModel) -> VerificationReport:
     unmet = _odd_kernel_unmet("theorem3", model, derived)
     if unmet:
         return unmet
-    witnesses = {}
-    for k in range(1, e):
-        if report.spectrum[k] < 2:
-            witnesses[f"k={k}"] = f"dim H_{k} = {report.spectrum[k]} < 2"
+    # a spectrum that stops below e (e0 < e) leaves mu_k = 0 past its end
+    mu = report.spectrum + (0,) * (e - len(report.spectrum))
+    witnesses = {f"k={k}": f"dim H_{k} = {mu[k]} < 2" for k in range(1, e) if mu[k] < 2}
     return _report("theorem3", model, witnesses, derived)
 
 

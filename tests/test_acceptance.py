@@ -16,23 +16,22 @@ from sullivan.algebra import (
     monomial_basis,
     multiply,
 )
-from sullivan.cohomology import engine_for, bigraded_profile, cohomology_table
+from sullivan.cohomology import engine_for, bigraded_profile, cohomology_table, fundamental_class
 from sullivan.library import get_model, library
 from sullivan.model import length_profile
 from sullivan.sequences import (
     build_gysin,
     build_wang,
     check_exactness,
-    corrupt_connecting_sign,
     formal_dimension_relation,
 )
 from sullivan.toomer import (
     e0_spectrum,
     toomer_of_algebra,
     toomer_of_class,
-    toomer_via_fundamental_class,
 )
 from conftest import model_pool, poly_add, poly_degree, poly_scale, random_polynomial, theta_corpus
+from les_controls import corrupt_connecting_sign
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -125,7 +124,7 @@ def test_criterion_5_toomer_consistency(sweep_models):
     for m in models:
         rep = e0_spectrum(m)
         e0 = rep.e0_algebra
-        assert toomer_via_fundamental_class(m) == e0, m.name
+        assert toomer_of_class(m, fundamental_class(m)) == e0, m.name
         max_class = max((max(v) for v in rep.per_class if v), default=0)
         assert max_class == e0, m.name
     # e0(x) = k iff x in H_k, on full bigraded class bases

@@ -375,7 +375,7 @@ def _recursive_derive_monomial(gens, deriv, m):
     rest = tuple(0 if j == i else x for j, x in enumerate(m))
     head_only = tuple(e if j == i else 0 for j in range(len(m)))
     out = {}
-    dv = deriv.value_on(i)
+    dv = deriv.values[i]
     if dv:
         head_less = tuple(e - 1 if j == i else 0 for j in range(len(m)))
         lead = multiply(gens, multiply(gens, {head_less: Fraction(e)}, dv), {rest: Fraction(1)})

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import theta_corpus
+from les_controls import corrupt_connecting_sign, wang_derivation
 from test_cli_golden import MIXED_MODELS
 
 from sullivan.algebra import Derivation, Generator, apply_derivation, multiply
@@ -18,7 +19,6 @@ from sullivan.model import (
     make_model,
     quotient_model,
     random_elliptic_model,
-    wang_derivation,
 )
 from sullivan.parser import parse_model
 from sullivan.sequences import (
@@ -32,7 +32,6 @@ from sullivan.sequences import (
     build_gysin,
     build_wang,
     check_exactness,
-    corrupt_connecting_sign,
     formal_dimension_relation,
 )
 

@@ -24,7 +24,6 @@ from sullivan.toomer import (
     gap_scan,
     toomer_of_algebra,
     toomer_of_class,
-    toomer_via_fundamental_class,
 )
 from conftest import d_mono, poly_add, pow_model, theta_corpus
 
@@ -95,9 +94,9 @@ def test_algebra_coformal_is_odd_count(random_corpus):
 
 
 def test_via_fundamental_class_examples():
-    assert toomer_via_fundamental_class(get_model("cp:3")) == 3
-    assert toomer_via_fundamental_class(get_model("heisenberg")) == 3
-    assert toomer_via_fundamental_class(get_model("example-5gen")) == 3
+    for name in ("cp:3", "heisenberg", "example-5gen"):
+        m = get_model(name)
+        assert toomer_of_class(m, fundamental_class(m)) == 3, name
 
 
 def test_spectrum_5gen():
@@ -168,7 +167,7 @@ def test_consistency_three_ways():
     for m in models + les:
         report = e0_spectrum(m)
         e0 = report.e0_algebra
-        assert toomer_via_fundamental_class(m) == e0, m.name
+        assert toomer_of_class(m, fundamental_class(m)) == e0, m.name
         max_class = max(max(vals) for vals in report.per_class if vals)
         assert max_class == e0, m.name
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
+import re
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from sullivan import verifiers
+from sullivan.cli import main
 from sullivan.cohomology import CohomologyEngine, engine_for
 from sullivan.library import get_model
 from sullivan.model import make_model
@@ -226,6 +231,28 @@ def test_negative_controls_route_to_not_applicable():
     assert len({id(r.derived) for r in reports}) == len(reports)
 
 
+def test_readme_library_api_block_runs():
+    # the documented example runs against the exported names and prints
+    # what its comments say, then one line per checker
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == [
+        "(1, 0, 1)",
+        "1",
+        "theorem2 pass",
+        "lemma1 pass",
+        "theorem3 not-applicable",
+        "corollary4 not-applicable",
+        "remark2 pass",
+        "nilmanifold not-applicable",
+        "conjecture5 pass",
+    ]
+
+
 def test_verification_report_defaults_and_repr():
     a, b = VerificationReport("t", "m", "pass"), VerificationReport("t", "m", "pass")
     assert a.witnesses == a.derived == {}
@@ -299,6 +326,9 @@ FAIL_CASES = [
      {"equivalence": "(a) = False but (b) = True"}),
     ("theorem3 k", verify_theorem3, "heisenberg", {"spectrum": (3, (1, 2, 1, 1))},
      {"k=2": "dim H_2 = 1 < 2"}),
+    # e0 = 1 < e: mu_2 lies past the end of the spectrum and counts as 0
+    ("theorem3 short", verify_theorem3, "heisenberg", {"spectrum": (1, (1, 2))},
+     {"k=2": "dim H_2 = 0 < 2"}),
     ("corollary4 bound", verify_corollary4, "heisenberg", {"e0": 4},
      {"bound": "dim H = 6 < 2 e0 = 8"}),
     ("remark2 bound", verify_remark2, "heisenberg", {"e0": 2},
@@ -345,6 +375,15 @@ def test_fail_branch_reports_its_witness(monkeypatch, checker, name, patches, wi
     report = checker(model)
     assert report.verdict == "fail" and not report.passed
     assert report.witnesses == witnesses
+
+
+def test_theorem3_short_spectrum_exits_4(monkeypatch, capsys):
+    # e0 = 1 < e = 3 is a theorem failure, not an internal error
+    fake = SimpleNamespace(e0_algebra=1, spectrum=(1, 2))
+    monkeypatch.setattr(verifiers, "e0_spectrum", lambda m: fake)
+    assert main(["verify", "theorem3", "--lib", "heisenberg"]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "model heisenberg", "  theorem3     fail", "    k=2: dim H_2 = 0 < 2"]
 
 
 @pytest.mark.parametrize("name, model", [
