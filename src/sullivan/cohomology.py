@@ -205,11 +205,8 @@ class CohomologyEngine:
             src = self.strand_basis(i, k)
             dst = self.strand_basis(i + 1, k + self.profile.l - 1)
         dst_index = {m: r for r, m in enumerate(dst)}
-        entries = {}
-        for j, m in enumerate(src):
-            for m2, c in self.d_row(m).items():
-                entries[(dst_index[m2], j)] = c
-        return RatMatrix(len(dst), len(src), entries)
+        return RatMatrix(len(dst), [{dst_index[m2]: c for m2, c in self.d_row(m).items()}
+                                    for m in src])
 
     def _require_homogeneous(self):
         if not self.profile.is_homogeneous:
@@ -406,9 +403,9 @@ class CohomologyEngine:
                         psi[m] = psi.get(m, 0) + (c * f if sign > 0 else -c * f)
             duals.append(psi)
         left = self.full(i).reps
-        mat = RatMatrix(len(left), len(duals), {
-            (s, t): sum(c * psi[m] for m, c in a.items() if m in psi)
-            for s, a in enumerate(left) for t, psi in enumerate(duals)})
+        mat = RatMatrix(len(left), [
+            {s: sum(c * psi[m] for m, c in a.items() if m in psi) for s, a in enumerate(left)}
+            for psi in duals])
         return mat, mat.rows == mat.cols and rank(mat) == mat.rows
 
     # -- tables ----------------------------------------------------------

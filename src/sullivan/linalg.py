@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-`fractions.Fraction` is the coefficient type at the boundary: matrices
-hold Fraction entries, vectors are Fraction tuples indexed by column,
-and `Echelon` takes and hands out sparse rows: mappings from totally
-ordered column keys (for cochains, the monomials themselves) to
-rationals.
+`fractions.Fraction` is the coefficient type at the boundary: a matrix
+is its list of sparse Fraction columns keyed by row index, vectors are
+Fraction tuples, and `Echelon` takes and hands out sparse rows: mappings
+from totally ordered column keys (for cochains, the monomials
+themselves) to rationals.
 There is one elimination, `Echelon`'s: each row is reduced against the
 stored rows in pivot order, a row's pivot being its smallest key.
 `reduce_rows` runs it once over a sequence of rows and, with tags,
@@ -38,71 +38,45 @@ class DimensionMismatchError(ValueError):
     """Raised when vector/matrix dimensions are inconsistent."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 class RatMatrix:
-    """Immutable rational matrix with sparse entry storage.
+    """Immutable rational matrix stored as its columns.
 
-    Entries are Fractions kept in a dict keyed by (row, col); zero entries
-    are never stored.  Elimination reduces the columns as sparse rows
-    keyed by row index (see `reduce_rows`).
+    Column c is a sparse row {row index: Fraction} with no zeros, the form
+    that elimination reduces (see `reduce_rows`); ints are wrapped in
+    Fractions and zero entries dropped.
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries: dict | None = None):
-        if rows < 0 or cols < 0:
+    def __init__(self, rows: int, columns=()):
+        if rows < 0:
             raise DimensionMismatchError("negative matrix dimensions")
         self.rows = rows
-        self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise DimensionMismatchError(
-                        f"entry ({r},{c}) outside {rows}x{cols} matrix"
-                    )
-                v = _as_fraction(v)
-                if v != 0:
-                    clean[(r, c)] = v
-        self._entries = clean
-
-    def entry(self, r: int, c: int) -> Fraction:
-        return self._entries.get((r, c), ZERO)
+        self.columns = []
+        for c, col in enumerate(columns):
+            if col and (min(col) < 0 or max(col) >= rows):
+                raise DimensionMismatchError(
+                    f"column {c} has a row index outside 0..{rows - 1}")
+            self.columns.append({r: v if isinstance(v, Fraction) else Fraction(v)
+                                 for r, v in col.items() if v})
+        self.cols = len(self.columns)
 
     def column(self, c: int) -> Vector:
-        return tuple(self._entries.get((r, c), ZERO) for r in range(self.rows))
-
-    def apply(self, vec) -> Vector:
-        """Matrix times column vector."""
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise DimensionMismatchError(
-                f"vector length {len(vec)} != column count {self.cols}"
-            )
-        out = [ZERO] * self.rows
-        for (r, c), v in self._entries.items():
-            if vec[c]:
-                out[r] += v * vec[c]
-        return tuple(out)
+        col = self.columns[c]
+        return tuple(col.get(r, ZERO) for r in range(self.rows))
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not any(self.columns)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
             and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
+            and self.columns == other.columns
         )
 
     def __repr__(self) -> str:
-        return f"RatMatrix({self.rows}x{self.cols}, {len(self._entries)} entries)"
+        return f"RatMatrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} entries)"
 
 
 def _primitive(row: dict) -> dict:
@@ -144,17 +118,9 @@ def _combine(dst: dict, src: dict, col) -> tuple[dict, int, int]:
     return out, a, h
 
 
-def _columns(m: RatMatrix) -> list[dict[int, Fraction]]:
-    """The columns of m as sparse rows keyed by row index."""
-    cols: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
-    for (r, c), v in m._entries.items():
-        cols[c][r] = v
-    return cols
-
-
 def rank(m: RatMatrix) -> int:
     """Rank over Q via exact elimination."""
-    return reduce_rows(_columns(m))[0].rank
+    return reduce_rows(m.columns)[0].rank
 
 
 def kernel_basis(m: RatMatrix) -> list[Vector]:
@@ -165,7 +131,7 @@ def kernel_basis(m: RatMatrix) -> list[Vector]:
     that column's, positive, and the entries are integers with content 1.
     This is the reduced-echelon free-variable basis.
     """
-    _, relations = reduce_rows(_columns(m), range(m.rows, m.rows + m.cols))
+    _, relations = reduce_rows(m.columns, range(m.rows, m.rows + m.cols))
     basis = []
     for rel in relations:
         v = [ZERO] * m.cols
@@ -183,13 +149,12 @@ def solve_membership(m: RatMatrix, v) -> Vector | None:
     DimensionMismatchError when len(v) != m.rows (never silently
     truncates).
     """
-    v = tuple(_as_fraction(x) for x in v)
+    v = tuple(v)
     if len(v) != m.rows:
         raise DimensionMismatchError(
             f"vector length {len(v)} != row count {m.rows}"
         )
-    rows = _columns(m)
-    rows.append({r: x for r, x in enumerate(v) if x})
+    rows = [*m.columns, {r: x for r, x in enumerate(v) if x}]
     last = m.rows + m.cols
     _, relations = reduce_rows(rows, range(m.rows, last + 1))
     if not relations or last not in relations[-1]:
@@ -203,25 +168,17 @@ def solve_membership(m: RatMatrix, v) -> Vector | None:
 
 
 def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """a * b: each column of b pushed through the columns of a."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    by_col: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in b._entries.items():
-        by_col.setdefault(c, []).append((r, v))
-    by_row: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in a._entries.items():
-        by_row.setdefault(c, []).append((r, v))
-    entries: dict[tuple[int, int], Fraction] = {}
-    for c, col in by_col.items():
-        for k, bv in col:
-            for r, av in by_row.get(k, ()):
-                key = (r, c)
-                s = entries.get(key, ZERO) + av * bv
-                if s:
-                    entries[key] = s
-                else:
-                    entries.pop(key, None)
-    return RatMatrix(a.rows, b.cols, entries)
+    product = []
+    for col in b.columns:
+        out: dict[int, Fraction] = {}
+        for k, bv in col.items():
+            for r, av in a.columns[k].items():
+                out[r] = out.get(r, ZERO) + av * bv
+        product.append(out)
+    return RatMatrix(a.rows, product)
 
 
 class Echelon:

@@ -118,15 +118,8 @@ def _divide_x1(p: Polynomial) -> Polynomial:
 def _classes_matrix(images, target_engine, dst_i, dst_k) -> RatMatrix:
     """Matrix whose column s is the target-class coordinates of images[s]."""
     dst = target_engine.cohomology_at(dst_i, dst_k)
-    entries = {}
-    for s, img in enumerate(images):
-        if not img:
-            continue
-        coords = dst.coordinates(img)
-        for r, v in enumerate(coords):
-            if v:
-                entries[(r, s)] = v
-    return RatMatrix(dst.dim, len(images), entries)
+    return RatMatrix(dst.dim, [dict(enumerate(dst.coordinates(img))) if img else {}
+                               for img in images])
 
 
 class _Arrow(NamedTuple):
@@ -232,7 +225,7 @@ def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
             for k, part in parts[arrow.source].items():
                 tk = None if k is None else k + arrow.length_shift
                 if not 0 <= ti <= top[arrow.target]:  # H^ti of the target group is zero
-                    matrix = RatMatrix(0, part.dim)
+                    matrix = RatMatrix(0, [{}] * part.dim)
                 else:
                     matrix = _classes_matrix([image(chi, i) for chi in part.reps],
                                              engines[arrow.target], ti, tk)
@@ -296,8 +289,8 @@ def check_exactness(les: LesData) -> LesReport:
     verdicts = []
     for node, role, in_key, out_key in _node_checks(les):
         dim = les.dim(node)
-        in_mat = les.maps[in_key].matrix if in_key in les.maps else RatMatrix(dim, 0)
-        out_mat = les.maps[out_key].matrix if out_key in les.maps else RatMatrix(0, dim)
+        in_mat = les.maps[in_key].matrix if in_key in les.maps else RatMatrix(dim)
+        out_mat = les.maps[out_key].matrix if out_key in les.maps else RatMatrix(0, [{}] * dim)
         rank_in = ranks.get(in_key, 0)
         kernel_out = dim - ranks.get(out_key, 0)
         composite = matmul(out_mat, in_mat)
@@ -324,7 +317,7 @@ def _exactness_witness(in_mat: RatMatrix, out_mat: RatMatrix, composite: RatMatr
     for kvec in kernel_basis(out_mat):
         if solve_membership(in_mat, kvec) is None:
             return kvec
-    return in_mat.column(min(c for _, c in composite._entries))
+    return in_mat.column(next(c for c, col in enumerate(composite.columns) if col))
 
 
 def _dimension_relation(model: SullivanModel, quotient: SullivanModel) -> DimensionRelationVerdict:

@@ -6,7 +6,12 @@
 - `corrupt_connecting_sign` is the negative control: a copy of a built
   sequence with one connecting-map entry's sign flipped, which the
   exactness check must reject.
+- `CORRUPTED_WITNESSES` pins the witness of the first failure that
+  `check_exactness` reports on each corrupted Wang build, and
+  `assert_corrupted_witness` checks a report against it.
 """
+
+from fractions import Fraction
 
 from sullivan.algebra import Derivation, Generator, poly
 from sullivan.linalg import RatMatrix
@@ -44,13 +49,40 @@ def corrupt_connecting_sign(les: LesData) -> LesData:
     for key in sorted(key for key in les.maps if key[0] == connecting):
         lmap = les.maps[key]
         mat = lmap.matrix
-        for c in range(mat.cols):
-            rows = [r for r in range(mat.rows) if mat.entry(r, c)]
-            if len(rows) >= 2:
-                entries = dict(mat._entries)
-                entries[(rows[0], c)] = -entries[(rows[0], c)]
-                new_map = lmap._replace(matrix=RatMatrix(mat.rows, mat.cols, entries))
+        for c, col in enumerate(mat.columns):
+            if len(col) >= 2:  # flip the entry in the column's first row
+                columns = list(mat.columns)
+                columns[c] = {**col, min(col): -col[min(col)]}
+                new_map = lmap._replace(matrix=RatMatrix(mat.rows, columns))
                 return les._replace(maps={**les.maps, key: new_map})
     raise ValueError(
         "no connecting-map column mixes two classes; sign corruption would be invisible"
     )
+
+
+# (model name, ungraded) -> the witness of the first failure of the corrupted
+# Wang build: a class vector of Fractions in ker(j) \ im(theta*) at H^i(LW)
+CORRUPTED_WITNESSES = {
+    ("nil4", False): (0, 1, 1),
+    ("nil4", True): (0, 1, 1),
+    ("theta-mixing", False): (1, 1),
+    ("theta-mixing", True): (1, 1),
+    ("theta(2000,1,1,2)", False): (-1, 1),
+    ("theta(2000,1,1,2)", True): (-1, 1),
+    ("theta(2001,1,2,2)", False): (-2, 1, 0),
+    ("theta(2001,1,2,2)", True): (-2, 1, 0),
+    ("theta(2002,2,2,2)", False): (-2, 1),
+    ("theta(2002,2,2,2)", True): (-2, 1),
+    ("theta(2003,1,1,3)", False): (-1, 1),
+    ("theta(2003,1,1,3)", True): (-1, 1),
+    ("theta(2004,1,2,3)", False): (-1, 1),
+    ("theta(2004,1,2,3)", True): (0, -1, 1),
+}
+
+
+def assert_corrupted_witness(report, name: str, ungraded: bool = False) -> None:
+    """The first failure carries the pinned witness, every entry a Fraction
+    (the JSON report prints a Fraction as a string and an int as a number)."""
+    witness = report.failures[0].witness
+    assert witness == CORRUPTED_WITNESSES[(name, ungraded)], (name, ungraded, witness)
+    assert all(type(x) is Fraction for x in witness), (name, ungraded, witness)

@@ -31,7 +31,7 @@ from sullivan.toomer import (
     toomer_of_class,
 )
 from conftest import model_pool, poly_add, poly_degree, poly_scale, random_polynomial, theta_corpus
-from les_controls import corrupt_connecting_sign
+from les_controls import assert_corrupted_witness, corrupt_connecting_sign
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -166,12 +166,12 @@ def test_criterion_6_wang_gysin_exactness(random_corpus):
     bad = corrupt_connecting_sign(les)
     bad_report = check_exactness(bad)
     assert not bad_report.all_exact
-    assert bad_report.failures[0].witness is not None
+    assert_corrupted_witness(bad_report, "nil4")
     # ... and so must one on each random model with a nonzero theta*
     for m in theta_corpus():
         bad_report = check_exactness(corrupt_connecting_sign(build_wang(m)))
         assert not bad_report.all_exact, m.name
-        assert bad_report.failures[0].witness is not None, m.name
+        assert_corrupted_witness(bad_report, m.name)
     report(6, f"bigraded exactness at {nodes_total} nodes across "
               f"{len(models)} models, dimension relations exact, "
               f"corrupted theta* fails with witness")

@@ -349,12 +349,12 @@ def test_fundamental_class_requires_certificate():
 
 def test_pd_pairing_degree_zero():
     mat, ok = pd_pairing(get_model("sphere:2"), 0)
-    assert ok and mat.rows == mat.cols == 1 and mat.entry(0, 0) == 1
+    assert ok and mat.rows == 1 and mat.columns == [{0: 1}]
 
 
 def test_pd_pairing_top_degree():
     mat, ok = pd_pairing(get_model("sphere:2"), 2)
-    assert ok and mat.entry(0, 0) == 1
+    assert ok and mat.columns == [{0: 1}]
 
 
 def test_pd_pairing_5gen_middle():
@@ -374,9 +374,9 @@ def test_pd_pairing_nondegenerate_everywhere(random_corpus):
             assert ok, f"{m.name} degree {i}"
             dual, _ = pd_pairing(m, n - i)
             sign = -1 if i * (n - i) % 2 else 1
-            assert dual == RatMatrix(mat.cols, mat.rows, {
-                (t, s): sign * mat.entry(s, t)
-                for s in range(mat.rows) for t in range(mat.cols)}), f"{m.name} degree {i}"
+            assert dual == RatMatrix(mat.cols, [
+                {t: sign * col[s] for t, col in enumerate(mat.columns) if s in col}
+                for s in range(mat.rows)]), f"{m.name} degree {i}"
 
 
 def reference_pd_pairing(engine, i):
@@ -387,13 +387,9 @@ def reference_pd_pairing(engine, i):
     n = engine.formal_dimension_formula()
     top = engine.full(n)
     left, right = engine.full(i).reps, engine.full(n - i).reps
-    entries = {}
-    for s, a in enumerate(left):
-        for t, b in enumerate(right):
-            coord = top.coordinates(multiply(engine.gens, a, b))
-            if coord[0]:
-                entries[(s, t)] = coord[0]
-    mat = RatMatrix(len(left), len(right), entries)
+    mat = RatMatrix(len(left), [
+        {s: top.coordinates(multiply(engine.gens, a, b))[0] for s, a in enumerate(left)}
+        for b in right])
     return mat, mat.rows == mat.cols and rank(mat) == mat.rows
 
 

@@ -21,12 +21,22 @@ def F(x):
 
 def from_rows(data) -> RatMatrix:
     """The matrix with the given dense rows."""
-    entries = {(r, c): Fraction(v) for r, row in enumerate(data) for c, v in enumerate(row) if v}
-    return RatMatrix(len(data), len(data[0]) if data else 0, entries)
+    return RatMatrix(len(data), [dict(enumerate(col)) for col in zip(*data)])
 
 
 def transpose(m: RatMatrix) -> RatMatrix:
-    return RatMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m._entries.items()})
+    return RatMatrix(m.cols, [{c: col[r] for c, col in enumerate(m.columns) if r in col}
+                              for r in range(m.rows)])
+
+
+def apply(m: RatMatrix, vec) -> tuple:
+    """m times a column vector, summed densely: the reference for matmul."""
+    return tuple(sum((m.columns[c].get(r, 0) * x for c, x in enumerate(vec)), Fraction(0))
+                 for r in range(m.rows))
+
+
+def dense_rows(m: RatMatrix) -> list[list[Fraction]]:
+    return [[col.get(r, Fraction(0)) for col in m.columns] for r in range(m.rows)]
 
 
 def quotient_dimension(ambient_dim, subspace):
@@ -45,7 +55,7 @@ def test_rank_identity():
 
 
 def test_rank_zero_matrix():
-    assert rank(RatMatrix(3, 4)) == 0
+    assert rank(RatMatrix(3, [{}] * 4)) == 0
 
 
 def test_rank_dependent_rows():
@@ -57,7 +67,7 @@ def test_kernel_of_identity_is_empty():
 
 
 def test_kernel_of_zero_matrix_is_standard_basis():
-    basis = kernel_basis(RatMatrix(2, 3))
+    basis = kernel_basis(RatMatrix(2, [{}] * 3))
     assert basis == [
         (F(1), F(0), F(0)),
         (F(0), F(1), F(0)),
@@ -88,7 +98,7 @@ def test_solve_membership_identity():
 
 
 def test_solve_membership_not_in_span():
-    assert solve_membership(RatMatrix(2, 2), (1, 0)) is None
+    assert solve_membership(RatMatrix(2, [{}] * 2), (1, 0)) is None
 
 
 def test_solve_membership_scaling():
@@ -98,7 +108,7 @@ def test_solve_membership_scaling():
 
 def test_solve_membership_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        solve_membership(RatMatrix(2, 2), (1, 0, 0))
+        solve_membership(RatMatrix(2, [{}] * 2), (1, 0, 0))
 
 
 def test_quotient_dimension_empty_subspace():
@@ -115,14 +125,14 @@ def test_quotient_dimension_dependent():
 
 def _random_matrix(rng, rows, cols, density=0.6):
     pool = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)]
-    entries = {}
+    columns = [{} for _ in range(cols)]
     for r in range(rows):
         for c in range(cols):
             if rng.random() < density:
                 v = pool[rng.randrange(len(pool))]
                 if v:
-                    entries[(r, c)] = Fraction(v)
-    return RatMatrix(rows, cols, entries)
+                    columns[c][r] = Fraction(v)
+    return RatMatrix(rows, columns)
 
 
 def test_rank_equals_rank_of_transpose():
@@ -137,7 +147,7 @@ def test_kernel_vectors_annihilate():
     for _ in range(150):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         for v in kernel_basis(m):
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in apply(m, v))
 
 
 def test_rank_nullity():
@@ -154,10 +164,7 @@ def test_rank_invariant_under_row_permutation():
         m = _random_matrix(rng, rows, rng.randint(1, 6))
         perm = list(range(rows))
         rng.shuffle(perm)
-        permuted = RatMatrix(
-            m.rows, m.cols,
-            {(perm[r], c): v for (r, c), v in m._entries.items()},
-        )
+        permuted = RatMatrix(m.rows, [{perm[r]: v for r, v in col.items()} for col in m.columns])
         assert rank(m) == rank(permuted)
 
 
@@ -188,7 +195,29 @@ def test_matmul_against_apply():
         b = _random_matrix(rng, a.cols, rng.randint(1, 4))
         prod = matmul(a, b)
         for c in range(b.cols):
-            assert prod.column(c) == a.apply(b.column(c))
+            assert prod.column(c) == apply(a, b.column(c))
+
+
+def test_ratmatrix_keeps_fractions_wraps_ints_drops_zeros():
+    third = Fraction(1, 3)
+    m = RatMatrix(3, [{0: third, 2: 0}, {}, {1: 2}])
+    assert m.columns[0][0] is third
+    assert m.columns == [{0: third}, {}, {1: Fraction(2)}]
+    assert type(m.columns[2][1]) is Fraction
+    assert (m.rows, m.cols) == (3, 3)
+    assert m.column(2) == (0, 2, 0) and not m.is_zero() and RatMatrix(3, [{}] * 3).is_zero()
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: RatMatrix(2, [{0: 1}, {2: 1}]),
+    lambda: RatMatrix(2, [{-1: 1}]),
+    lambda: RatMatrix(-1),
+    lambda: matmul(RatMatrix(2, [{}] * 3), RatMatrix(2, [{0: 1}])),
+], ids=["row-key-past-the-last-row", "negative-row-key", "negative-rows",
+        "matmul-shapes"])
+def test_matrix_guards_refuse_mismatched_dimensions(refused):
+    with pytest.raises(DimensionMismatchError):
+        refused()
 
 
 def test_echelon_membership_and_coords():
@@ -225,7 +254,7 @@ def test_echelon_clone_is_independent():
 def _fraction_rref(m):
     """Reference: dense Fraction Gauss-Jordan, pivoting on the first row
     in current order with a nonzero entry in the column."""
-    rows = [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    rows = dense_rows(m)
     pivots = []
     piv_r = 0
     for c in range(m.cols):
@@ -269,7 +298,7 @@ def _rational_matrix(rng, rows, cols, density):
     """Random rational matrix whose later rows are often combinations of
     earlier ones."""
     m = _random_matrix(rng, rows, cols, density)
-    data = [[m.entry(r, c) for c in range(cols)] for r in range(rows)]
+    data = dense_rows(m)
     for r in range(1, rows):
         if rng.random() < 0.4:
             a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2))
@@ -285,12 +314,11 @@ def _elimination_inputs(rng):
         for density in (0.15, 0.45, 0.9):
             yield _rational_matrix(rng, rows, cols, density)
     # no rows, no columns, and some columns entirely zero
-    yield from (RatMatrix(0, 0), RatMatrix(0, 4), RatMatrix(3, 0))
+    yield from (RatMatrix(0), RatMatrix(0, [{}] * 4), RatMatrix(3))
     for _ in range(30):
         m = _rational_matrix(rng, rng.randint(1, 6), rng.randint(2, 7), 0.6)
         zero = set(rng.sample(range(m.cols), rng.randint(1, m.cols - 1)))
-        yield RatMatrix(m.rows, m.cols, {
-            (r, c): v for (r, c), v in m._entries.items() if c not in zero})
+        yield RatMatrix(m.rows, [{} if c in zero else col for c, col in enumerate(m.columns)])
 
 
 def test_integer_elimination_matches_fraction_gauss_jordan():
@@ -306,8 +334,7 @@ def test_integer_elimination_matches_fraction_gauss_jordan():
         else:
             target = tuple(
                 Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m.rows))
-        ref = _fraction_rref(RatMatrix(m.rows, m.cols + 1, {
-            **m._entries, **{(r, m.cols): x for r, x in enumerate(target) if x}}))
+        ref = _fraction_rref(RatMatrix(m.rows, [*m.columns, dict(enumerate(target))]))
         if m.cols in ref[1]:
             assert solve_membership(m, target) is None
         else:

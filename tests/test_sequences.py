@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import theta_corpus
-from les_controls import corrupt_connecting_sign, wang_derivation
+from les_controls import assert_corrupted_witness, corrupt_connecting_sign, wang_derivation
 from test_cli_golden import MIXED_MODELS
 
 from sullivan.algebra import Derivation, Generator, apply_derivation, multiply
@@ -67,10 +67,10 @@ def test_wang_heisenberg_theta_star_maps_c_class_to_b_class():
     c_mono = (0, 1)
     c_col = next(s for s, r in enumerate(reps) if r == {c_mono: Fraction(1)})
     b_row = next(s for s, r in enumerate(reps) if r == {b_mono: Fraction(1)})
-    assert lmap.matrix.entry(b_row, c_col) == 1
+    assert lmap.matrix.columns[c_col].get(b_row) == 1
     # theta*([b]) = 0
     b_col = next(s for s, r in enumerate(reps) if r == {b_mono: Fraction(1)})
-    assert all(lmap.matrix.entry(r, b_col) == 0 for r in range(lmap.matrix.rows))
+    assert lmap.matrix.columns[b_col] == {}
 
 
 def test_wang_splits_when_x1_absent():
@@ -262,16 +262,30 @@ def test_corrupted_theta_fails_exactness():
             les = build_wang(model, ungraded=ungraded)
             assert check_exactness(les).all_exact
             maps = dict(les.maps)
-            entries = {key: dict(m.matrix._entries) for key, m in maps.items()}
+            columns = {key: [dict(col) for col in m.matrix.columns] for key, m in maps.items()}
             bad = corrupt_connecting_sign(les)
             # the input is left as it was
             assert les.maps == maps
-            assert {key: m.matrix._entries for key, m in les.maps.items()} == entries
+            assert {key: m.matrix.columns for key, m in les.maps.items()} == columns
             report = check_exactness(bad)
             assert not report.all_exact, (model.name, ungraded)
-            failure = report.failures[0]
-            assert failure.witness is not None
-            assert "LW" in failure.position
+            assert_corrupted_witness(report, model.name, ungraded)
+            assert "LW" in report.failures[0].position
+
+
+@pytest.mark.parametrize("in_mat, out_mat, witness", [
+    # a 1-dimensional node whose incoming and outgoing maps are the identity
+    (RatMatrix(1, [{0: 1}]), RatMatrix(1, [{0: 1}]), (1,)),
+    # in = id on Q^2, out = the second coordinate: only column 1 survives
+    (RatMatrix(2, [{0: 1}, {1: 1}]), RatMatrix(1, [{}, {0: 1}]), (0, 1)),
+])
+def test_witness_falls_back_to_a_surviving_image_column(in_mat, out_mat, witness):
+    """ker(out) lies in im(in) but out * in != 0: the witness is the first
+    image column that the outgoing map does not kill."""
+    composite = matmul(out_mat, in_mat)
+    assert not composite.is_zero()
+    got = _exactness_witness(in_mat, out_mat, composite)
+    assert got == witness and all(type(x) is Fraction for x in got)
 
 
 def test_corruption_helper_refuses_invisible_flips():
@@ -324,7 +338,7 @@ def test_random_theta_models_exercise_the_connecting_map():
                        if kind == "theta"), (model.name, ungraded)
             report = check_exactness(corrupt_connecting_sign(les))
             assert not report.all_exact, (model.name, ungraded)
-            assert report.failures[0].witness is not None
+            assert_corrupted_witness(report, model.name, ungraded)
 
 
 # -- cross-check against the two-branch, full-grid construction ------------
@@ -341,15 +355,8 @@ def _reference_reps(engine, i, k):
 
 def _reference_classes_matrix(images, target_engine, dst_i, dst_k):
     dst = target_engine.full(dst_i) if dst_k is None else target_engine.strand(dst_i, dst_k)
-    entries = {}
-    for s, img in enumerate(images):
-        if not img:
-            continue
-        coords = dst.coordinates(img)
-        for r, v in enumerate(coords):
-            if v:
-                entries[(r, s)] = v
-    return RatMatrix(dst.dim, len(images), entries)
+    return RatMatrix(dst.dim, [dict(enumerate(dst.coordinates(img))) if img else {}
+                               for img in images])
 
 
 def _reference_lift(p):
@@ -467,8 +474,8 @@ def reference_check_exactness(les):
         dim = les.dim(node)
         in_map = les.maps.get(in_key)
         out_map = les.maps.get(out_key)
-        in_mat = in_map.matrix if in_map is not None else RatMatrix(dim, 0)
-        out_mat = out_map.matrix if out_map is not None else RatMatrix(0, dim)
+        in_mat = in_map.matrix if in_map is not None else RatMatrix(dim)
+        out_mat = out_map.matrix if out_map is not None else RatMatrix(0, [{}] * dim)
         assert (in_mat.rows, out_mat.cols) == (dim, dim), node
         rank_in = rank(in_mat)
         kernel_out = dim - rank(out_mat)

@@ -425,13 +425,9 @@ def quotient_d_matrix(qc, i):
     basis = [m for m in qc.engine.basis(i) if word_length(m) <= qc.cutoff]
     basis_next = [m for m in qc.engine.basis(i + 1) if word_length(m) <= qc.cutoff]
     index_next = {m: r for r, m in enumerate(basis_next)}
-    entries = {}
-    for col, mono in enumerate(basis):
-        for m2, c in d_mono(qc.engine, mono).items():
-            r = index_next.get(m2)
-            if r is not None:
-                entries[(r, col)] = c
-    return RatMatrix(len(basis_next), len(basis), entries)
+    return RatMatrix(len(basis_next), [
+        {index_next[m2]: c for m2, c in d_mono(qc.engine, mono).items() if m2 in index_next}
+        for mono in basis])
 
 
 def test_quotient_complex_induced_d_squared_zero():

@@ -2,12 +2,13 @@
 memos of the sullivan modules by name.  A rename here would make every
 traced benchmark run incorrect, so this guard installs the tracer as it
 is, runs commands that reach its memo probes and asserts that nothing it
-looks for is missing."""
+looks for is missing.  The CLI is looked up when the test runs, not at
+collection: `bench/run.py` drops and re-imports the sullivan modules, and
+the tracer wraps the modules that are loaded when it is installed."""
 
 import importlib.util
 from pathlib import Path
 
-import sullivan.cli as cli
 from test_cli_golden import MIXED_MODELS
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -22,6 +23,7 @@ def _load_tracer():
 
 def test_every_trace_target_and_memo_probe_is_found(tmp_path, capsys):
     tracer_module = _load_tracer()
+    cli = importlib.import_module("sullivan.cli")
     model = tmp_path / "gysin-mixed.sul"
     model.write_text(MIXED_MODELS["gysin-mixed.sul"])
     tracer = tracer_module.Tracer().install()
