@@ -1,7 +1,9 @@
 """Command-line interface and report serialization.
 
-Every report is built as a machine-readable tree first; the human
-rendering is derived from that tree, so no number exists only in prose.
+Every subcommand is declared once, in `_parser()`, with the handler that
+runs it.  Every report is built as a machine-readable tree first, and the
+handler formats its text lines from that tree (the payload), so no number
+exists only in prose.
 
 Exit codes: 0 pass, 2 usage (including an --out path that cannot be
 written), 3 validation failure or a model past the work budget (its
@@ -72,46 +74,31 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"sullivan {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p):
-        p.add_argument("--model", metavar="FILE", help="model file (.sul)")
-        p.add_argument("--lib", metavar="NAME", help="built-in library model")
-
-    def add_output_flags(p):
+    def command(name, help, handler, model=True):
+        """The subparser `name`, run by `handler(args)`, with the report
+        flags and, if `model`, the model flags."""
+        p = sub.add_parser(name, help=help)
+        if model:
+            p.add_argument("--model", metavar="FILE", help="model file (.sul)")
+            p.add_argument("--lib", metavar="NAME", help="built-in library model")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="PATH", help="write the report to a file")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp field (byte-stable output)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("validate", help="check the Sullivan conditions")
-    add_model_flags(p)
-    add_output_flags(p)
-
-    p = sub.add_parser("cohomology", help="Betti table and representatives")
-    add_model_flags(p)
-    add_output_flags(p)
-
-    p = sub.add_parser("bigraded", help="bigraded dimensions h[i][k], n_k, N_k")
-    add_model_flags(p)
-    add_output_flags(p)
-
-    p = sub.add_parser("toomer", help="e0, spectrum and per-class values")
-    add_model_flags(p)
-    add_output_flags(p)
-
+    command("validate", "check the Sullivan conditions", _cmd_validate)
+    command("cohomology", "Betti table and representatives", _cmd_cohomology)
+    command("bigraded", "bigraded dimensions h[i][k], n_k, N_k", _cmd_bigraded)
+    command("toomer", "e0, spectrum and per-class values", _cmd_toomer)
     for kind in ("wang", "gysin"):
-        p = sub.add_parser(kind, help=f"build and check the {kind.capitalize()} sequence")
-        add_model_flags(p)
-        add_output_flags(p)
+        p = command(kind, f"build and check the {kind.capitalize()} sequence", _cmd_sequence)
         p.add_argument("--ungraded", action="store_true",
                        help="forget the word-length grading")
-
-    p = sub.add_parser("verify", help="run theorem checkers")
+    p = command("verify", "run theorem checkers", _cmd_verify)
     p.add_argument("theorem", choices=sorted(ALL_THEOREMS) + ["all"])
-    add_model_flags(p)
-    add_output_flags(p)
-
-    p = sub.add_parser("gap-scan", help="scan a corpus for e0-gaps")
-    add_output_flags(p)
+    p = command("gap-scan", "scan a corpus for e0-gaps", _cmd_gap_scan, model=False)
     p.add_argument("--count", type=int, default=10, help="number of random models")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--evens", type=int, default=2)
@@ -119,17 +106,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=2)
     p.add_argument("--include-library", action="store_true")
 
-    p = sub.add_parser("library", help="list built-in models or emit one")
-    add_output_flags(p)
+    p = command("library", "list built-in models or emit one", _cmd_library, model=False)
     p.add_argument("--emit", metavar="NAME", help="print the model file text")
-
     return ap
 
 
 def _load_model(args) -> SullivanModel:
-    if getattr(args, "model", None) and getattr(args, "lib", None):
+    if args.model and args.lib:
         raise UsageError("give either --model or --lib, not both")
-    if getattr(args, "model", None):
+    if args.model:
         try:
             with open(args.model, encoding="utf-8") as fh:
                 text = fh.read()
@@ -140,7 +125,7 @@ def _load_model(args) -> SullivanModel:
                 f"{args.model} is not UTF-8 text ({err.reason} at byte {err.start})"
             ) from err
         return parse_model(text, name=args.model)
-    if getattr(args, "lib", None):
+    if args.lib:
         return get_model(args.lib)
     raise UsageError("a model is required: --model FILE or --lib NAME")
 
@@ -205,14 +190,12 @@ def _cmd_cohomology(args):
     }
     lines = [
         f"model {model.name or '<anonymous>'}",
-        f"formal dimension N = {table.formal_dimension}",
-        f"total dim H = {table.total_dimension}",
+        f"formal dimension N = {payload['formal_dimension']}",
+        f"total dim H = {payload['total_dimension']}",
         "betti numbers:",
     ]
-    for i, b in enumerate(table.betti):
-        if b:
-            reps = ", ".join(c.pretty(gens) for c in table.classes[i])
-            lines.append(f"  b_{i} = {b}   [{reps}]")
+    for i, reps in payload["classes"].items():
+        lines.append(f"  b_{i} = {payload['betti'][int(i)]}   [{', '.join(reps)}]")
     return EXIT_OK, payload, lines
 
 
@@ -232,15 +215,14 @@ def _cmd_bigraded(args):
     }
     lines = [
         f"model {model.name or '<anonymous>'}",
-        f"formal dimension N = {table.formal_dimension}, top length e = {table.e_top}",
-        f"dim H_k by length: {list(table.length_dims())}",
-        f"n_k = {list(table.n_k)}",
-        f"N_k = {list(table.N_k)}",
+        f"formal dimension N = {payload['formal_dimension']}, top length e = {payload['e_top']}",
+        f"dim H_k by length: {payload['length_dimensions']}",
+        f"n_k = {payload['n_k']}",
+        f"N_k = {payload['N_k']}",
         "h[i][k] (rows i = 0..N):",
+        "  i\\k " + " ".join(f"{k:>3d}" for k in range(payload["e_top"] + 1)),
     ]
-    header = "  i\\k " + " ".join(f"{k:>3d}" for k in range(table.e_top + 1))
-    lines.append(header)
-    for i, row in enumerate(table.h):
+    for i, row in enumerate(payload["h"]):
         lines.append(f"  {i:>3d} " + " ".join(f"{v:>3d}" for v in row))
     return EXIT_OK, payload, lines
 
@@ -250,17 +232,6 @@ def _cmd_toomer(args):
     engine = engine_for(model)
     report = e0_spectrum(model)
     gens = model.generators
-    per_class = []
-    for i, values in enumerate(report.per_class, start=1):
-        if values:
-            classes = engine.classes(i)
-            per_class.append(
-                {
-                    "degree": i,
-                    "values": list(values),
-                    "classes": [c.pretty(gens) for c in classes],
-                }
-            )
     payload = {
         "model": model.name,
         "e0": report.e0_algebra,
@@ -268,16 +239,21 @@ def _cmd_toomer(args):
         "spectrum": list(report.spectrum),
         "gaps": list(report.gaps),
         "dim_h_plus": report.total_h_plus,
-        "per_class": per_class,
+        "per_class": [
+            {"degree": i, "values": list(values),
+             "classes": [c.pretty(gens) for c in engine.classes(i)]}
+            for i, values in enumerate(report.per_class, start=1)
+            if values
+        ],
     }
     lines = [
         f"model {model.name or '<anonymous>'}",
-        f"e0 = {report.e0_algebra}   (cat0 = {report.cat0} via the ellipticity certificate)",
-        f"spectrum mu_k, k = 0..{report.e0_algebra}: {list(report.spectrum)}",
-        f"gaps: {list(report.gaps) or 'none'}",
+        f"e0 = {payload['e0']}   (cat0 = {payload['cat0']} via the ellipticity certificate)",
+        f"spectrum mu_k, k = 0..{payload['e0']}: {payload['spectrum']}",
+        f"gaps: {payload['gaps'] or 'none'}",
         "per-class e0:",
     ]
-    for entry in per_class:
+    for entry in payload["per_class"]:
         pairs = ", ".join(
             f"[{cls}] -> {v}" for cls, v in zip(entry["classes"], entry["values"])
         )
@@ -317,20 +293,21 @@ def _cmd_sequence(args):
             "holds": relation.holds,
         },
     }
+    rel = payload["dimension_relation"]
     lines = [
         f"model {model.name or '<anonymous>'}: {kind} sequence "
-        f"({'bigraded' if report.bigraded else 'ungraded'})",
-        f"nodes checked: {report.nodes_checked}",
-        f"exactness: {'PASS (all nodes exact)' if report.all_exact else 'FAIL'}",
-        f"dimension relation ({relation.parity} case): N = {relation.n_total}, "
-        f"M = {relation.m_quotient}, expected N = {relation.expected} -> "
-        f"{'holds' if relation.holds else 'VIOLATED'}",
+        f"({'bigraded' if payload['bigraded'] else 'ungraded'})",
+        f"nodes checked: {payload['nodes_checked']}",
+        f"exactness: {'PASS (all nodes exact)' if payload['all_exact'] else 'FAIL'}",
+        f"dimension relation ({rel['parity']} case): N = {rel['N']}, "
+        f"M = {rel['M']}, expected N = {rel['expected_N']} -> "
+        f"{'holds' if rel['holds'] else 'VIOLATED'}",
     ]
-    for v in report.failures:
+    for f in payload["failures"]:
         lines.append(
-            f"  FAIL at {v.position} ({v.role}): rank(in) = {v.rank_in}, "
-            f"dim ker(out) = {v.kernel_out}, composite zero: {v.composite_zero}, "
-            f"witness: {_jsonable(v.witness)}"
+            f"  FAIL at {f['position']} ({f['role']}): rank(in) = {f['rank_in']}, "
+            f"dim ker(out) = {f['kernel_out']}, composite zero: {f['composite_zero']}, "
+            f"witness: {f['witness']}"
         )
     code = EXIT_OK if report.all_exact and relation.holds else EXIT_VERDICT
     return code, payload, lines
@@ -406,11 +383,9 @@ def _cmd_gap_scan(args):
             for r in records
         ],
     }
-    lines = [f"gap scan over {len(records)} certified elliptic models"]
-    for r in records:
-        lines.append(
-            f"  {r.model_name}: e0 = {r.e0}, spectrum {list(r.spectrum)}, {r.verdict}"
-        )
+    lines = [f"gap scan over {payload['corpus_size']} certified elliptic models"]
+    for r in payload["records"]:
+        lines.append(f"  {r['model']}: e0 = {r['e0']}, spectrum {r['spectrum']}, {r['verdict']}")
     found = payload["gaps_found"]
     if found:
         lines.append(f"*** {found} MODEL(S) WITH e0-GAPS -- research-grade finding, "
@@ -431,45 +406,25 @@ def _cmd_library(args):
     return EXIT_OK, payload, lines
 
 
-def run_command(argv) -> tuple[int, dict]:
-    """Parse argv, run the command, return (exit code, report document).
-
-    The document contains both the machine tree and the human rendering.
-    """
-    args = _parser().parse_args(argv)
-    return _execute(args)
-
-
 def _execute(args) -> tuple[int, dict]:
-    handlers = {
-        "validate": _cmd_validate,
-        "cohomology": _cmd_cohomology,
-        "bigraded": _cmd_bigraded,
-        "toomer": _cmd_toomer,
-        "wang": _cmd_sequence,
-        "gysin": _cmd_sequence,
-        "verify": _cmd_verify,
-        "gap-scan": _cmd_gap_scan,
-        "library": _cmd_library,
-    }
+    """Run the parsed command: (exit code, report document), where the
+    document holds both the machine tree and the human rendering."""
     try:
-        code, payload, lines = handlers[args.command](args)
+        code, payload, lines = args.handler(args)
     except UsageError as err:
-        return EXIT_USAGE, _document(args, {"error": str(err)}, [f"usage error: {err}"])
+        code, prefix, msg = EXIT_USAGE, "usage error", str(err)
     except (ModelSyntaxError, ModelValidationError, UnknownModelError,
             QuotientError, NotEllipticError, NotHomogeneousError,
             GenerationBudgetError, ModelFileError, WorkBudgetError) as err:
-        msg = str(err)
-        return EXIT_VALIDATION, _document(args, {"error": msg}, [f"error: {msg}"])
+        code, prefix, msg = EXIT_VALIDATION, "error", str(err)
     except InternalInvariantError as err:
-        msg = str(err)
-        return EXIT_INTERNAL, _document(
-            args, {"error": msg}, [f"internal invariant breach: {msg}"]
-        )
+        code, prefix, msg = EXIT_INTERNAL, "internal invariant breach", str(err)
     except Exception as err:
+        code, prefix = EXIT_INTERNAL, "internal error"
         msg = f"{type(err).__name__}: {err}".splitlines()[0]
-        return EXIT_INTERNAL, _document(args, {"error": msg}, [f"internal error: {msg}"])
-    return code, _document(args, payload, lines)
+    else:
+        return code, _document(args, payload, lines)
+    return code, _document(args, {"error": msg}, [f"{prefix}: {msg}"])
 
 
 def _document(args, payload, lines) -> dict:
@@ -478,7 +433,7 @@ def _document(args, payload, lines) -> dict:
         "version": __version__,
         "command": args.command,
     }
-    if not getattr(args, "no_timestamp", False):
+    if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     doc.update(payload)
     doc["rendering"] = lines
@@ -486,23 +441,21 @@ def _document(args, payload, lines) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already printed usage/version
         return EXIT_USAGE if exc.code not in (0, None) else 0
     code, doc = _execute(args)
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         rendered = json.dumps(doc, indent=2)
     else:
         rendered = "\n".join(doc["rendering"])
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered + "\n")
         except OSError as err:
-            print(f"error: cannot write --out {out}: {err.strerror}")
+            print(f"error: cannot write --out {args.out}: {err.strerror}")
             return EXIT_USAGE
     else:
         try:

@@ -4,7 +4,6 @@ and seeded random elliptic models."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
@@ -327,42 +326,29 @@ def _sample_pure(rng, params: RandomModelParams, seed: int, attempt: int) -> Sul
         for _ in range(params.n_even)
     ]
     spec_gens = []
+    head = ()  # the exponent of the optional leading odd sphere u
     if params.leading_odd_sphere:
         spec_gens.append(("u", 1 + 2 * rng.randint(1, 2)))
+        head = (0,)
     spec_gens += [(f"x{i + 1}", even_degrees[i]) for i in range(params.n_even)]
+    tail = (0,) * params.n_odd
 
     bases = BasisTable([Generator(i, f"x{i + 1}", d) for i, d in enumerate(even_degrees)])
-    diffs: dict[str, Polynomial] = {}
-    odd_names = []
+    diffs = {}
     for j in range(params.n_odd):
+        name = f"y{j + 1}"
         if params.n_even == 0:
             # no evens to hit: a free odd generator (an odd-sphere factor)
-            odd_names.append((f"y{j + 1}", 1 + 2 * rng.randint(1, 3), {}))
+            spec_gens.append((name, 1 + 2 * rng.randint(1, 3)))
             continue
         # target degree: a random length-l monomial in the evens fixes it
         picks = [rng.randrange(params.n_even) for _ in range(params.l)]
         target = sum(even_degrees[i] for i in picks)
         candidates = [m for m in bases.basis(target) if word_length(m) == params.l]
-        coeffs = {}
-        for mono in candidates:
-            c = rng.randint(-2, 2)
-            if c:
-                coeffs[mono] = c
-        if not coeffs:
-            coeffs[candidates[rng.randrange(len(candidates))]] = 1
-        name = f"y{j + 1}"
-        odd_names.append((name, target - 1, coeffs))
-
-    offset = 1 if params.leading_odd_sphere else 0
-    n_total = offset + params.n_even + params.n_odd
-    for name, degree, coeffs in odd_names:
-        spec_gens.append((name, degree))
-        dy: Polynomial = {}
-        for mono, c in coeffs.items():
-            full = [0] * n_total
-            for i, e in enumerate(mono):
-                full[offset + i] = e
-            dy[tuple(full)] = Fraction(c)
+        dy = {head + mono + tail: rng.randint(-2, 2) for mono in candidates}
+        if not any(dy.values()):  # make_model drops the zero terms
+            dy[head + candidates[rng.randrange(len(candidates))] + tail] = 1
+        spec_gens.append((name, target - 1))
         diffs[name] = dy
     label = f"random(seed={seed},attempt={attempt})"
     return make_model(spec_gens, diffs, name=label)

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import sullivan.cli as cli
-from sullivan.cli import main, run_command
+from sullivan.cli import main
 from sullivan.library import model_text
+from sullivan.sequences import build_wang
+from sullivan.toomer import GapScanRecord
+from les_controls import CORRUPTED_WITNESSES, corrupt_connecting_sign
 
 
 def test_toomer_5gen(capsys):
@@ -127,7 +130,8 @@ def test_out_writes_file(tmp_path, capsys):
 
 def test_human_numbers_live_in_machine_tree(capsys):
     # every number shown in prose must appear in the machine tree
-    code, doc = run_command(["toomer", "--lib", "example-5gen", "--no-timestamp"])
+    code = main(["toomer", "--lib", "example-5gen", "--no-timestamp", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["e0"] == 3
     assert doc["spectrum"] == [1, 2, 2, 1]
@@ -215,6 +219,38 @@ def test_verify_single_not_applicable_exit_3(capsys):
     assert main(["verify", "all", "--lib", "example-5gen"]) == 0
 
 
+def test_inexact_sequence_renders_its_failures(monkeypatch, capsys):
+    # a sign-corrupted connecting map breaks exactness at H^1_1(LW): the
+    # failure reaches the JSON tree and the text line, witness and all
+    monkeypatch.setattr(cli, "build_wang", lambda m, ungraded=False:
+                        corrupt_connecting_sign(build_wang(m, ungraded)))
+    assert main(["wang", "--lib", "nil4", "--format", "json", "--no-timestamp"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_exact"] is False
+    assert doc["failures"][0] == {
+        "position": "H^1_1(LW)", "role": "theta->j", "rank_in": 1, "kernel_out": 1,
+        "composite_zero": False, "witness": ["0", "1", "1"]}
+    assert doc["failures"][0]["witness"] == [
+        str(x) for x in CORRUPTED_WITNESSES[("nil4", False)]]
+    assert main(["wang", "--lib", "nil4"]) == 4
+    assert ("  FAIL at H^1_1(LW) (theta->j): rank(in) = 1, dim ker(out) = 1, "
+            "composite zero: False, witness: ['0', '1', '1']"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_gap_scan_reports_a_found_gap(monkeypatch, capsys):
+    record = GapScanRecord("m", "gen x 2\n", 1, 3, (1, 0, 1, 1), (1,))
+    monkeypatch.setattr(cli, "gap_scan", lambda corpus: [record])
+    argv = ["gap-scan", "--count", "0"]
+    assert main(argv + ["--format", "json", "--no-timestamp"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["gaps_found"] == 1
+    assert doc["records"][0]["verdict"] == "GAP FOUND"
+    assert main(argv) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "*** 1 MODEL(S) WITH e0-GAPS -- research-grade finding, records preserved above ***")
+
+
 def test_verdict_failure_exit_4(monkeypatch, capsys):
     from sullivan.verifiers import VerificationReport
 
@@ -228,12 +264,12 @@ def test_verdict_failure_exit_4(monkeypatch, capsys):
 def test_internal_error_exit_5(monkeypatch, capsys):
     from sullivan.cohomology import InternalInvariantError
 
-    def boom(args):
+    def boom(model):
         raise InternalInvariantError("synthetic breach")
 
-    monkeypatch.setitem(cli.__dict__, "_cmd_toomer", boom)
-    # rebuild the handler table path by calling run_command directly
-    code, doc = run_command(["toomer", "--lib", "sphere:2"])
+    monkeypatch.setattr(cli, "e0_spectrum", boom)
+    code = main(["toomer", "--lib", "sphere:2", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
     assert code == 5
     assert "synthetic breach" in doc["error"]
 
@@ -246,10 +282,10 @@ def test_model_and_lib_together_exit_2(tmp_path, capsys):
 
 
 def test_unexpected_exception_exit_5_one_line(monkeypatch, capsys):
-    def boom(args):
+    def boom(model):
         raise RuntimeError("first line\nsecond line")
 
-    monkeypatch.setattr(cli, "_cmd_toomer", boom)
+    monkeypatch.setattr(cli, "e0_spectrum", boom)
     assert main(["toomer", "--lib", "sphere:2"]) == 5
     assert capsys.readouterr().out == "internal error: RuntimeError: first line\n"
 

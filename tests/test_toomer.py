@@ -36,8 +36,8 @@ def test_odd_sphere_fundamental_class():
 def test_cp_powers():
     m = get_model("cp:4")
     engine = engine_for(m)
-    # [x^k] lives in degree 2k and has e0 = k
-    for k in range(1, 5):
+    # [x^k] lives in degree 2k and has e0 = k, the unit [1] included
+    for k in range(5):
         (cls,) = engine.classes(2 * k)
         assert toomer_of_class(m, cls) == k
 
@@ -139,6 +139,8 @@ def test_filtration_monotone():
         for row in filt.dims:
             assert all(row[j] >= row[j + 1] for j in range(len(row) - 1))
         assert filt.total(0) == report.total_h_plus  # K_0 = H^+
+        # K_n lives in degrees 1..N only
+        assert filt.dim(0, 0) == filt.dim(filt.formal_dimension + 1, 0) == 0
 
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"

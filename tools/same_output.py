@@ -12,9 +12,12 @@ command sets in process, as `bench/run.py` does:
 
 The commands come from the `bench/workloads.py` next to this tool, loaded
 read-only, so both checkouts run the very same commands.  Every command
-carries `--format json --no-timestamp`; the tool hashes its exit code and
-stdout, then prints the number of commands and names the first command
-whose hash differs.  Exit code 0 means identical output, 1 a difference.
+carries `--format json --no-timestamp`.  The child then runs the parser
+surface, with `COLUMNS=80` in its environment: `--help` of the top level
+and of each subcommand, and three argparse usage errors.  The tool hashes
+the exit code, stdout and stderr of every command, then prints the number
+of commands and names the first command whose hash differs.  Exit code 0
+means identical output, 1 a difference.
 """
 
 from __future__ import annotations
@@ -35,11 +38,19 @@ COMMAND_SETS = (
     ("les-mixed", (1, 2), range(64)),
 )
 
-# Runs in the child: argv = [root, workloads path, command sets as JSON].
+SUBCOMMANDS = ("validate", "cohomology", "bigraded", "toomer", "wang", "gysin",
+               "verify", "gap-scan", "library")
+# argv lists that argparse answers on its own: help texts and usage errors
+PARSER_ARGVS = ([["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+                + [["frobnicate"], ["verify", "nope"], ["gap-scan", "--count", "x"]])
+
+# Runs in the child: argv = [root, workloads path, command sets as JSON,
+# parser argv lists as JSON].
 CHILD = r"""
 import contextlib, hashlib, importlib.util, io, json, os, sys
 
 root, workloads_path, sets = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+parser_argvs = json.loads(sys.argv[4])
 sys.path.insert(0, os.path.join(root, "src"))
 import sullivan.cli as cli
 
@@ -52,19 +63,26 @@ spec.loader.exec_module(workloads)
 bench_root = os.path.dirname(os.path.dirname(workloads_path))
 names = workloads.program_setup("library-cli")
 out = []
+
+def run(label, argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(list(argv))
+    except Exception as exc:
+        code = f"{type(exc).__name__}: {exc}"
+    text = f"{code}\n{stdout.getvalue()}\n{stderr.getvalue()}"
+    out.append([f"{label}: {' '.join(argv)}", str(code),
+                hashlib.sha256(text.encode()).hexdigest()])
+
 for name, seeds, passes in sets:
     for seed in seeds:
         wl = workloads.build(name, seed, bench_root, f"{name}-{seed}", names)
         for p in passes:
             for cmd in wl.commands(p):
-                buf = io.StringIO()
-                try:
-                    with contextlib.redirect_stdout(buf):
-                        code = cli.main(list(cmd.argv))
-                except Exception as exc:
-                    code = f"{type(exc).__name__}: {exc}"
-                digest = hashlib.sha256(f"{code}\n{buf.getvalue()}".encode()).hexdigest()
-                out.append([f"{name} seed {seed} pass {p}: {' '.join(cmd.argv)}", str(code), digest])
+                run(f"{name} seed {seed} pass {p}", cmd.argv)
+for argv in parser_argvs:
+    run("parser", argv)
 print(json.dumps(out))
 """
 
@@ -73,9 +91,11 @@ def run(root: str) -> list[list[str]]:
     """[command, exit code, hash] for every command, run on checkout root."""
     sets = json.dumps([(name, list(seeds), list(passes)) for name, seeds, passes in COMMAND_SETS])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["COLUMNS"] = "80"  # argparse wraps help text to this width
     with tempfile.TemporaryDirectory() as cwd:  # les-mixed writes its models here
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, os.path.abspath(root), WORKLOADS, sets],
+            [sys.executable, "-c", CHILD, os.path.abspath(root), WORKLOADS, sets,
+             json.dumps(PARSER_ARGVS)],
             cwd=cwd, env=env, capture_output=True, text=True,
         )
     if proc.returncode:
