@@ -75,7 +75,7 @@ class SullivanModel:
 
     @property
     def min_degree(self) -> int:
-        return min(g.degree for g in self.generators)
+        return min((g.degree for g in self.generators), default=0)
 
     def d_of(self, index: int) -> Polynomial:
         return self.differential.values[index]
@@ -242,26 +242,18 @@ class QuotientError(ValueError):
 
 def quotient_model(model: SullivanModel, gen: Generator) -> SullivanModel:
     """Lambda W = Lambda(v2, ..., vn) with dbar = d minus every term
-    containing the stripped generator.  Requires gen to be the first
-    generator and a cocycle."""
+    containing the stripped generator, built and validated by `make_model`.
+    Requires gen to be the first generator and a cocycle."""
     if gen.index != 0:
         raise QuotientError(f"{gen.name} is not the first generator")
     if model.d_of(0):
         raise QuotientError(f"d({gen.name}) != 0; cannot factor out a non-cocycle")
-    new_gens = tuple(
-        Generator(g.index - 1, g.name, g.degree) for g in model.generators[1:]
-    )
-    values = []
-    for g in model.generators[1:]:
-        dv = model.d_of(g.index)
-        stripped = {m[1:]: c for m, c in dv.items() if m[0] == 0}
-        values.append(poly(stripped))
-    quotient = SullivanModel(
-        new_gens,
-        Derivation(1, tuple(values)),
+    rest = model.generators[1:]
+    return make_model(
+        [(g.name, g.degree) for g in rest],
+        {g.name: {m[1:]: c for m, c in model.d_of(g.index).items() if m[0] == 0} for g in rest},
         name=f"{model.name}/{gen.name}" if model.name else None,
     )
-    return validate(quotient)
 
 
 # -- random elliptic models ---------------------------------------------

@@ -5,10 +5,18 @@ Grammar (one statement per line, `#` starts a comment):
     gen <name> <degree>
     d <name> = <polynomial>
 
-Polynomials are sums of terms; a term is an optional rational
-coefficient and `*`-separated powers `name^exp`.  Declaration order fixes
-the generator order, hence the canonical monomial form and the
-triangularity requirement.  parse(print(model)) round-trips exactly.
+and the polynomial on the right of a `d` line is
+
+    polynomial  := ['+' | '-'] term (('+' | '-') term)*
+    term        := coefficient | [coefficient '*'] power ('*' power)*
+    power       := name ['^' integer]
+    coefficient := integer ['/' integer]
+
+The coefficients of equal monomials add up, and a monomial whose sum
+reaches zero leaves the polynomial until a later term brings it back.
+Declaration order fixes the generator order, hence the canonical
+monomial form and the triangularity requirement.  parse(print(model))
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Monomial, Polynomial, poly_str
+from .algebra import Polynomial, poly_str
 from .model import ModelValidationError, SullivanModel, make_model
 
 
@@ -52,94 +60,60 @@ def _tokenize(text: str, line_no: int):
     return tokens
 
 
-class _TermParser:
-    """Recursive-descent parser for one polynomial right-hand side."""
+def _polynomial(tokens, line_no: int, gen_index: dict[str, int], n: int) -> Polynomial:
+    """The polynomial that `tokens`, the right-hand side of one `d` line,
+    spell in the n generators declared so far."""
+    last = tokens[-1]
+    # the end token stands one past the last, where end-of-line errors point
+    tokens = [*tokens, ("end", "", last[2] + len(last[1]))]
+    if tokens[0][1] not in ("+", "-"):
+        tokens.insert(0, ("op", "+", 0))  # the first term's sign, when it has none
+    pos = 0
 
-    def __init__(self, tokens, line_no, gen_index, gen_count):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line_no
-        self.gen_index = gen_index
-        self.n = gen_count
+    def fail(message):
+        raise ModelSyntaxError(line_no, tokens[pos][2], message)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        """Step past the token the last peek() saw."""
-        self.pos += 1
-
-    def fail(self, message):
-        """Raise at the current token, or one past the last at the end of the line."""
-        tok = self.peek()
-        col = tok[2] if tok else self.tokens[-1][2] + len(self.tokens[-1][1])
-        raise ModelSyntaxError(self.line, col, message)
-
-    def parse(self) -> Polynomial:
-        out: Polynomial = {}
-        sign = 1
-        tok = self.peek()
-        if tok and tok[1] in "+-":
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        while True:
-            mono, coeff = self.term()
-            coeff *= sign
-            cur = out.get(mono, 0) + coeff
-            if cur:
-                out[mono] = cur
+    out: Polynomial = {}
+    while tokens[pos][0] != "end":  # a sign, then a term
+        sign = -1 if tokens[pos][1] == "-" else 1
+        pos += 1
+        if tokens[pos][0] == "end":
+            fail("empty term")
+        # `after` names the last item for the error text; None before the first
+        coeff, expo, after = Fraction(1), [0] * n, None
+        while True:  # a coefficient or a power, then what follows it
+            kind, text, col = tokens[pos]
+            if after is None and kind == "number":
+                try:
+                    coeff = Fraction(text)
+                except ZeroDivisionError:
+                    raise ModelSyntaxError(
+                        line_no, col, f"zero denominator in coefficient {text!r}") from None
+                after = " after a coefficient"
             else:
-                out.pop(mono, None)
-            tok = self.peek()  # term() stops at the end of the line or at '+'/'-'
-            if tok is None:
-                return out
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-
-    def term(self) -> tuple[Monomial, Fraction]:
-        coeff = Fraction(1)
-        expo = [0] * self.n
-        tok = self.peek()
-        if tok is None:
-            self.fail("empty term")
-        if tok[0] == "number":
-            try:
-                coeff = Fraction(tok[1])
-            except ZeroDivisionError:
-                raise ModelSyntaxError(
-                    self.line, tok[2], f"zero denominator in coefficient {tok[1]!r}"
-                ) from None
-            self.take()
-            nxt = self.peek()
-            if nxt is None or nxt[1] in "+-":
-                return tuple(expo), coeff  # constant term
-            if nxt[1] != "*":
-                self.fail(f"expected '*', '+' or '-' after a coefficient, found {nxt[1]!r}")
-            self.take()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "name":
-                self.fail("expected a generator name")
-            name = tok[1]
-            if name not in self.gen_index:
-                raise ModelSyntaxError(self.line, tok[2], f"unknown generator {name!r}")
-            self.take()
-            power = 1
-            nxt = self.peek()
-            if nxt and nxt[1] == "^":
-                self.take()
-                ptok = self.peek()
-                if ptok is None or ptok[0] != "number" or "/" in ptok[1]:
-                    self.fail("expected an integer exponent after '^'")
-                power = int(ptok[1])
-                self.take()
-            expo[self.gen_index[name]] += power
-            nxt = self.peek()
-            if nxt is None or nxt[1] in "+-":
-                return tuple(expo), coeff
-            if nxt[1] != "*":
-                self.fail(f"expected '*', '+' or '-', found {nxt[1]!r}")
-            self.take()
+                if kind != "name":
+                    fail("expected a generator name")
+                if text not in gen_index:
+                    fail(f"unknown generator {text!r}")
+                power = 1
+                if tokens[pos + 1][1] == "^":
+                    pos += 2
+                    if tokens[pos][0] != "number" or "/" in tokens[pos][1]:
+                        fail("expected an integer exponent after '^'")
+                    power = int(tokens[pos][1])
+                expo[gen_index[text]] += power
+                after = ""
+            pos += 1
+            if tokens[pos][0] == "end" or tokens[pos][1] in ("+", "-"):
+                break
+            if tokens[pos][1] != "*":
+                fail(f"expected '*', '+' or '-'{after}, found {tokens[pos][1]!r}")
+            pos += 1
+        mono = tuple(expo)
+        out[mono] = out.get(mono, 0) + sign * coeff
+        if not out[mono]:  # a later term of mono then comes last, as check_model reads it
+            del out[mono]
+    return out
 
 
 def parse_model(text: str, name: str | None = None) -> SullivanModel:
@@ -181,8 +155,7 @@ def parse_model(text: str, name: str | None = None) -> SullivanModel:
                 raise ModelSyntaxError(line_no, tokens[1][2], f"unknown generator {target!r}")
             if target in diffs:
                 raise ModelSyntaxError(line_no, tokens[1][2], f"d {target} defined twice")
-            parser = _TermParser(tokens[3:], line_no, gen_index, len(gen_specs))
-            diffs[target] = parser.parse()
+            diffs[target] = _polynomial(tokens[3:], line_no, gen_index, len(gen_specs))
             d_lines[target] = line_no
         else:
             raise ModelSyntaxError(

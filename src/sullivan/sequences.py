@@ -202,7 +202,8 @@ def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
 
     bigraded = eng_v.profile.is_homogeneous and not ungraded
     l = eng_v.profile.l
-    # the certificates make H^i of each group zero above its formal dimension
+    # the certificates make H^i of each group zero above its formal dimension;
+    # no arrow shifts a degree by more than |x1|, so every target is <= i_max
     top = {"V": eng_v.require_certificate().formal_dimension,
            "W": eng_w.require_certificate().formal_dimension}
     i_max = max(top.values()) + x1.degree + 1
@@ -219,8 +220,6 @@ def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
         dims.update(((group, i, k), part.dim) for group in parts for k, part in parts[group].items())
         for arrow in cycle:
             ti = i + arrow.shift
-            if ti > i_max:
-                continue
             image = images[arrow.name]
             for k, part in parts[arrow.source].items():
                 tk = None if k is None else k + arrow.length_shift
@@ -276,7 +275,8 @@ def check_exactness(les: LesData) -> LesReport:
     dimension): rank(incoming) = dim ker(outgoing) and the composite
     vanishes; failures carry a witness class vector from ker(outgoing)
     not reached by the incoming map.  Each map's rank is computed once,
-    for its source and target nodes."""
+    for its source and target nodes.  A nonzero node always has its
+    outgoing map; an incoming map from a zero node is the zero map."""
     ranks = {}
     for key, lmap in les.maps.items():
         mat = lmap.matrix
@@ -290,9 +290,9 @@ def check_exactness(les: LesData) -> LesReport:
     for node, role, in_key, out_key in _node_checks(les):
         dim = les.dim(node)
         in_mat = les.maps[in_key].matrix if in_key in les.maps else RatMatrix(dim)
-        out_mat = les.maps[out_key].matrix if out_key in les.maps else RatMatrix(0, [{}] * dim)
+        out_mat = les.maps[out_key].matrix
         rank_in = ranks.get(in_key, 0)
-        kernel_out = dim - ranks.get(out_key, 0)
+        kernel_out = dim - ranks[out_key]
         composite = matmul(out_mat, in_mat)
         composite_ok = composite.is_zero()
         exact = composite_ok and rank_in == kernel_out

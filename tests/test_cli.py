@@ -319,6 +319,10 @@ def test_unknown_model_message_is_not_quoted(capsys):
     out = capsys.readouterr().out.strip()
     assert out.startswith("error: unknown library model 'mixed:9'; available: ")
     assert not out.endswith(('"', "'"))
+    assert main(["toomer", "--lib", "sphere:0"]) == 3
+    assert capsys.readouterr().out.strip() == "error: sphere:0: dimension must be >= 1"
+    assert main(["toomer", "--lib", "cpl-sphere:1,1"]) == 3
+    assert capsys.readouterr().out.strip() == "error: cpl-sphere:1,1: need l >= 2, r >= 1"
 
 
 def test_closed_stdout_keeps_exit_code_without_traceback():

@@ -259,6 +259,17 @@ def test_random_model_forced_sphere_shape():
     assert list(dy.keys()) == [(2, 0)]
 
 
+def test_random_model_without_evens_is_free_odd_spheres():
+    from sullivan.toomer import e0_spectrum
+
+    for seed in range(3):
+        m = random_elliptic_model(seed, RandomModelParams(n_even=0, n_odd=3))
+        assert [g.name for g in m.generators] == ["y1", "y2", "y3"]
+        assert all(g.degree in (3, 5, 7) for g in m.generators)
+        assert not any(m.d_of(i) for i in range(m.n_gens))
+        assert e0_spectrum(m).spectrum == (1, 3, 3, 1)
+
+
 def test_random_model_deterministic_per_seed():
     params = RandomModelParams(n_even=2, n_odd=3, l=2)
     assert random_elliptic_model(9, params) == random_elliptic_model(9, params)

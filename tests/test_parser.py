@@ -53,6 +53,16 @@ def test_parse_degree_mismatch_reports_line():
     assert [(v.condition, v.line) for v in err.value.violations] == [
         ("degree-shift", 3), ("decomposable", 3)]
     assert "line 3: y: degree-shift: term of degree 2, expected 4" in str(err.value)
+    # a constant term is a monomial with every exponent 0
+    with pytest.raises(ModelValidationError) as err:
+        parse_model("gen x 2\ngen y 3\nd y = 2")
+    assert [(v.condition, v.line) for v in err.value.violations] == [
+        ("degree-shift", 3), ("decomposable", 3)]
+    # a monomial whose sum reaches zero leaves the polynomial, so the 2
+    # comes back after u and check_model names u first
+    with pytest.raises(ModelValidationError) as err:
+        parse_model("gen x 2\ngen u 3\ngen y 3\nd y = 0 + u + 2\n")
+    assert "line 4: y: degree-shift: term of degree 3, expected 4: u;" in str(err.value)
 
 
 def test_parse_unknown_generator():
@@ -166,6 +176,11 @@ def test_parse_signs_and_sums():
         (1, 1, 0): Fraction(2),
         (0, 2, 0): Fraction(-1),
     }
+    # equal monomials sum, and a sum of zero drops the monomial
+    assert parse_model("gen x 2\ngen y 3\nd y = x^2 - x^2\n").d_of(1) == {}
+    assert parse_model("gen x 2\ngen y 3\nd y = x^2 + 2 - 2\n").d_of(1) == {(2, 0): 1}
+    assert parse_model("gen x 2\ngen y 3\nd y = -3/2*x^2 + x*x\n").d_of(1) == {
+        (2, 0): Fraction(-1, 2)}
 
 
 def test_parse_comments_and_blank_lines():

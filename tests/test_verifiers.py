@@ -11,7 +11,7 @@ from sullivan import verifiers
 from sullivan.cli import main
 from sullivan.cohomology import CohomologyEngine, engine_for
 from sullivan.library import get_model
-from sullivan.model import make_model
+from sullivan.model import make_model, quotient_model
 from sullivan.verifiers import (
     VerificationReport,
     _is_truncated_polynomial,
@@ -269,6 +269,18 @@ def test_verify_all_structure():
                    "nilmanifold", "conjecture5"]
     assert all(r.model_id == "heisenberg" for r in reports)
     assert all(r.verdict == "pass" for r in reports)
+    # the model with no generators, and the quotient Lambda W = Q that
+    # strips the only generator of an odd sphere
+    sphere = get_model("sphere:3")
+    for model in (make_model([]), quotient_model(sphere, sphere.generators[0])):
+        reports = {r.theorem_id: r for r in verify_all(model)}
+        assert list(reports) == ids
+        for theorem_id in ("theorem2", "lemma1"):
+            derived = reports[theorem_id].derived
+            assert reports[theorem_id].verdict == "pass"
+            assert derived["e"] == 0 and derived["n_k"] == derived["N_k"] == [0]
+        assert reports["theorem2"].derived["e0"] == 0
+        assert reports["theorem2"].derived["mu"] == [1]
 
 
 def test_verify_conjecture5_branches():

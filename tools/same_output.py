@@ -14,7 +14,11 @@ The commands come from the `bench/workloads.py` next to this tool, loaded
 read-only, so both checkouts run the very same commands.  Every command
 carries `--format json --no-timestamp`.  The child then runs the parser
 surface, with `COLUMNS=80` in its environment: `--help` of the top level
-and of each subcommand, and three argparse usage errors.  The tool hashes
+and of each subcommand, and three argparse usage errors.  Last it writes
+each text of `MODEL_TEXTS` (syntax errors, structural faults and edge cases
+of the polynomial reader) to a file in its temporary working directory and
+runs `validate --model <file name> --format json --no-timestamp` on it, so
+that the report names the same model in both checkouts.  The tool hashes
 the exit code, stdout and stderr of every command, then prints the number
 of commands and names the first command whose hash differs.  Exit code 0
 means identical output, 1 a difference.
@@ -44,13 +48,36 @@ SUBCOMMANDS = ("validate", "cohomology", "bigraded", "toomer", "wang", "gysin",
 PARSER_ARGVS = ([["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
                 + [["frobnicate"], ["verify", "nope"], ["gap-scan", "--count", "x"]])
 
+# Model files for `validate`: each right-hand side of a `d` line follows
+# "gen x 2\ngen y 3\n", and each other text is a whole file.
+_HEAD = "gen x 2\ngen y 3\n"
+MODEL_TEXTS = tuple(
+    [_HEAD + line + "\n" for line in (
+        # syntax errors, one per fault the reader names
+        "d y = x +", "d y = 2 x", "d y = 2*3", "d y = 2*", "d y = x^a", "d y = x y",
+        "gen z", "gen z 3/2", "d y x^2", "d z = x^2", "foo y 3",
+        # terms that cancel, a constant term, a sum of equal monomials
+        "d y = x^2 - x^2", "d y = x^2 + 2 - 2", "d y = -3/2*x^2 + x*x", "d y = 2",
+    )]
+    + [
+        # one structural fault each
+        "gen x 2\ngen y 3\ngen z 0\n",
+        "gen x 2\ngen y 3\nd y = x^3\n",
+        "gen y 3\ngen x 2\n\nd y = x^2\n",
+        "gen u 3\ngen x 2\ngen w 7\n# u^2 = 0\nd w = u^2*x\n",
+        # a generator declared after a `d` line; a sum that leaves and comes back
+        "gen x 2\ngen y 3\nd y = x^2\ngen u 3\n",
+        "gen x 2\ngen u 3\ngen y 3\nd y = 0 + u + 2\n",
+    ]
+)
+
 # Runs in the child: argv = [root, workloads path, command sets as JSON,
-# parser argv lists as JSON].
+# parser argv lists as JSON, model texts as JSON].
 CHILD = r"""
 import contextlib, hashlib, importlib.util, io, json, os, sys
 
 root, workloads_path, sets = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-parser_argvs = json.loads(sys.argv[4])
+parser_argvs, model_texts = json.loads(sys.argv[4]), json.loads(sys.argv[5])
 sys.path.insert(0, os.path.join(root, "src"))
 import sullivan.cli as cli
 
@@ -83,6 +110,11 @@ for name, seeds, passes in sets:
                 run(f"{name} seed {seed} pass {p}", cmd.argv)
 for argv in parser_argvs:
     run("parser", argv)
+for i, text in enumerate(model_texts):
+    with open(f"model{i}.sul", "w", encoding="utf-8") as f:
+        f.write(text)
+    run("model file", ["validate", "--model", f"model{i}.sul", "--format", "json",
+                       "--no-timestamp"])
 print(json.dumps(out))
 """
 
@@ -92,10 +124,10 @@ def run(root: str) -> list[list[str]]:
     sets = json.dumps([(name, list(seeds), list(passes)) for name, seeds, passes in COMMAND_SETS])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["COLUMNS"] = "80"  # argparse wraps help text to this width
-    with tempfile.TemporaryDirectory() as cwd:  # les-mixed writes its models here
+    with tempfile.TemporaryDirectory() as cwd:  # les-mixed and MODEL_TEXTS write models here
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, os.path.abspath(root), WORKLOADS, sets,
-             json.dumps(PARSER_ARGVS)],
+             json.dumps(PARSER_ARGVS), json.dumps(MODEL_TEXTS)],
             cwd=cwd, env=env, capture_output=True, text=True,
         )
     if proc.returncode:
