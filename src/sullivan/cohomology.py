@@ -17,7 +17,10 @@ boundaries.  Each relation is the unique one between an image and the
 earlier independent images, so the cocycles are the reduced-echelon
 kernel basis of the differential.  H^i takes cocycles only until it
 holds dim Z^i - dim B^i representatives; every later one would come back
-dependent.
+dependent.  H^i's echelon holds B^i as its unlabelled rows and the
+representatives on top, labelled 0, 1, ...; it is the one store of B^i,
+which the Toomer layer re-keys by word length rather than applying d
+again.
 
 H^i records the word length of each representative once, as it is
 built (`lengths`, None for a representative that mixes lengths).  On a

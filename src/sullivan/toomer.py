@@ -20,7 +20,12 @@ of Z^i, so dim K_n^i = dim(Z^i cap Lambda^(>n) V) - dim(B^i cap
 Lambda^(>n) V) is the number of added rows whose pivot is longer than n.
 This is the persistence reduction for the filtration by word length
 (Edelsbrunner-Letscher-Zomorodian 2002; Zomorodian-Carlsson 2005): one
-elimination per degree, not one per (degree, cutoff).
+elimination per degree, not one per (degree, cutoff).  The echelon
+applies no differential: it is the engine's B^i (the unlabelled rows of
+H^i's echelon) re-keyed and reduced once more, so its first use in
+degree i builds H^0..H^i.  The pivots of a span and every residual
+against it depend only on the subspace and the column order, so the
+rows it starts from change nothing it reports.
 
 On a homogeneous model, the paper's setting, the filtration needs no
 elimination at all: it is read off the word-length strands.  Let d have
@@ -69,12 +74,14 @@ class QuotientComplex:
         self._deg: dict[int, Echelon] = {}
 
     def degree_data(self, i: int) -> Echelon:
-        """The echelon of B^i, columns keyed (word length, monomial), cached."""
+        """The echelon of B^i, columns keyed (word length, monomial), cached:
+        the engine's B^i (the unlabelled rows of H^i's echelon) re-keyed, so
+        a first call builds H^0..H^i."""
         got = self._deg.get(i)
         if got is None:
-            d_row = self.engine.d_row
             got = self._deg[i] = reduce_rows(
-                [_by_length(d_row(m)) for m in self.engine.basis(i - 1)])[0]
+                [_by_length(row) for _, row, label in self.engine.full(i).echelon.items()
+                 if label is None])[0]
         return got
 
     def level(self, i: int, p: Polynomial) -> int | None:

@@ -15,11 +15,12 @@ from sullivan.cohomology import (
     bigraded_profile,
 )
 from sullivan.library import get_model, library
-from sullivan.linalg import Echelon, RatMatrix, matmul
+from sullivan.linalg import Echelon, RatMatrix, matmul, reduce_rows
 from sullivan.model import length_profile, make_model
 from sullivan.parser import parse_model, print_model
 from sullivan.toomer import (
     QuotientComplex,
+    _by_length,
     e0_spectrum,
     gap_scan,
     toomer_of_algebra,
@@ -379,6 +380,12 @@ def test_filtered_reduction_matches_per_cutoff_reference(random_corpus):
                     assert (qc.projects_to_boundary(i, cls.representative, n)
                             == ref.quotient(n).projects_to_boundary(i, cls.representative)
                             == (n < value)), (m.name, i, n)
+        # the length-keyed echelon spans d(Lambda V^(i-1)): its pivots are those
+        # of the images of basis(i-1), keyed the same way and reduced afresh
+        if not length_profile(m).is_homogeneous:
+            for i in range(report.filtration.formal_dimension + 2):
+                images = [_by_length(d_mono(engine, mono)) for mono in engine.basis(i - 1)]
+                assert qc.degree_data(i).pivots == reduce_rows(images)[0].pivots, (m.name, i)
 
 
 def test_strand_read_spectrum_matches_filtered_reduction(random_corpus):
@@ -419,6 +426,22 @@ def test_strand_read_spectrum_matches_filtered_reduction(random_corpus):
         ), m.name
         checked += 1
     assert checked >= 60
+
+
+def test_toomer_layer_applies_no_differential(monkeypatch):
+    # once certification has built H^0..H^N, e0, the spectrum and every class
+    # value of a mixed-length model come from the engine's B^i, re-keyed
+    for model in (get_model("mixed:3"), les_style_model(1, False, 3)):
+        m = parse_model(print_model(model), name=model.name)  # an engine of its own
+        assert not length_profile(m).is_homogeneous, m.name
+        engine = engine_for(m)
+        assert engine.certify().ok, m.name
+        calls = []
+        d_row = engine.d_row
+        monkeypatch.setattr(engine, "d_row", lambda mono: calls.append(mono) or d_row(mono))
+        per_class = e0_spectrum(m).per_class
+        assert sum(map(len, per_class)) == e0_spectrum(m).total_h_plus > 0, m.name
+        assert calls == [], m.name
 
 
 def quotient_d_matrix(qc, i):
