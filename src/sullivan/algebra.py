@@ -11,8 +11,6 @@ recurses per generator.  The table counts what it stores and refuses,
 with `WorkBudgetError`, to grow past a fixed cell budget.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd
 from operator import add

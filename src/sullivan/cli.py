@@ -7,13 +7,12 @@ exists only in prose.
 
 Exit codes: 0 pass, 2 usage (including an --out path that cannot be
 written), 3 validation failure or a model past the work budget (its
-monomial bases would outgrow `algebra.BASIS_CELL_BUDGET`), 4
+monomial bases would outgrow `algebra.BASIS_CELL_BUDGET`, or its formal
+dimension exceeds `cohomology.DEGREE_BUDGET`), 4
 theorem-verdict failure, 5 internal invariant breach or any other
 unexpected exception (one line naming the exception type, never a
 traceback).
 """
-
-from __future__ import annotations
 
 import argparse
 import functools

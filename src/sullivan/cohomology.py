@@ -47,8 +47,6 @@ ascending order, a row's smallest monomial is its pivot, the same one
 dense elimination over the basis would pick.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
@@ -58,6 +56,7 @@ from .algebra import (
     LeibnizTable,
     Monomial,
     Polynomial,
+    WorkBudgetError,
     koszul_sign,
     poly_str,
     word_length,
@@ -66,6 +65,10 @@ from .linalg import Echelon, RatMatrix, Vector, rank, reduce_rows
 from .model import SullivanModel, length_profile
 
 _TAG = float("inf")  # a tag (_TAG, j) sorts after every monomial of integers
+
+# Every report lists each degree 0..N and certification builds them all,
+# so a formal dimension N past this is refused before any degree is built.
+DEGREE_BUDGET = 100_000
 
 
 class NotEllipticError(RuntimeError):
@@ -309,6 +312,8 @@ class CohomologyEngine:
 
         Pairings, read off one functional on C^N (module docstring), are
         checked for i <= N/2: pd_pairing(N - i) = (-1)^(i(N-i)) pd_pairing(i)^T.
+        An N over `DEGREE_BUDGET` raises `WorkBudgetError` before any
+        degree, of either algebra, is built.
         """
         n_form = self.formal_dimension_formula()
         if n_form < 0:
@@ -316,6 +321,9 @@ class CohomologyEngine:
                 "refutation", n_form,
                 f"the formula gives a negative formal dimension {n_form}",
             )
+        if n_form > DEGREE_BUDGET:
+            raise WorkBudgetError(
+                f"the formal dimension {n_form} is over the degree budget of {DEGREE_BUDGET}")
         witness = self._pure_quotient_witness(n_form)
         if witness:
             return EllipticityCertificate("refutation", n_form, witness)
@@ -391,7 +399,7 @@ class CohomologyEngine:
                 f"dim H^{n} = {top.dim} != 1 at the formal dimension, pairing undefined")
         if self._phi is None:
             phi = top.echelon.functional(0)
-            for p, row, label in top.echelon.items():
+            for p, row, label in top.echelon.rows:
                 if sum(c * row[t] for t, c in phi.items() if t in row) != (label == 0) * row[p]:
                     raise InternalInvariantError(
                         f"integration on H^{n}: phi(B^{n}) != 0 or phi(omega) != 1")

@@ -6,8 +6,6 @@ parameterized families resolved on demand: `sphere:n`, `cp:n`,
 parameters so parameter sweeps stay cheap), and `mixed:i`.
 """
 
-from __future__ import annotations
-
 from .model import SullivanModel
 from .parser import parse_model
 

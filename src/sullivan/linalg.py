@@ -6,7 +6,9 @@ Fraction tuples, and `Echelon` takes and hands out sparse rows: mappings
 from totally ordered column keys (for cochains, the monomials
 themselves) to rationals.
 There is one elimination, `Echelon`'s: each row is reduced against the
-stored rows in pivot order, a row's pivot being its smallest key.
+stored rows in pivot order, a row's pivot being its smallest key.  An
+echelon is one list of (pivot, row, label) triples kept in that order,
+which its readers walk as it is.
 `reduce_rows` runs it once over a sequence of rows and, with tags,
 also returns the relations among them; `rank`, `kernel_basis` and
 `solve_membership` are that reduction over a matrix's columns.
@@ -21,8 +23,6 @@ every downstream basis, representative cocycle and report is
 reproducible; relations and monic rows are unique, so the scaling never
 changes a result.
 """
-
-from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -187,47 +187,41 @@ class Echelon:
 
     A row is a sparse mapping from totally ordered column keys (for
     cochains, monomials) to rationals; absent keys are zero and a row's
-    pivot is its smallest key.  Rows are stored as primitive integer rows;
-    the row handed out by `add`, and the row every coefficient refers to,
-    is the stored row divided by its pivot entry (monic).  Each row can
-    carry a label; reduce_with_coeffs reports the coefficient used on
-    every labelled row, which is how cohomology classes get coordinates
-    in a chosen basis.
+    pivot is its smallest key.  The echelon is one list, `rows`, of
+    (pivot, primitive integer row, label) triples in ascending pivot
+    order; the row handed out by `add`, and the row every coefficient
+    refers to, is the stored row divided by its pivot entry (monic).
+    Stored rows are never mutated.  A label is None or a caller's key;
+    reduce_with_coeffs reports the coefficient used on every labelled
+    row, which is how cohomology classes get coordinates in a chosen
+    basis.
     """
 
-    __slots__ = ("_rows", "_pivots", "_labels")
+    __slots__ = ("rows",)
 
     def __init__(self):
-        self._rows: list[dict] = []
-        self._pivots: list = []
-        self._labels: list[object] = []
+        self.rows: list[tuple] = []
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     @property
     def pivots(self) -> list:
         """The stored rows' pivots, ascending."""
-        return self._pivots
+        return [p for p, _, _ in self.rows]
 
     def clone(self) -> "Echelon":
-        # stored rows are never mutated, so the copy can share them
         dup = Echelon()
-        dup._rows = self._rows[:]
-        dup._pivots = self._pivots[:]
-        dup._labels = self._labels[:]
+        dup.rows = self.rows[:]
         return dup
-
-    def items(self):  # (pivot, primitive integer row, label), in pivot order
-        return zip(self._pivots, self._rows, self._labels)
 
     def functional(self, label) -> dict:
         """{pivot: f(pivot)} for the linear f(row) = the coefficient reducing row
         collects on the row labelled `label`, zero off these keys: back from the
         last pivot, f(p) = [R labelled] - sum_(k != p) R[k] f(k), R monic."""
         f: dict = {}
-        for p, row, lab in reversed(list(self.items())):
+        for p, row, lab in reversed(self.rows):
             v = (lab == label) * row[p] - sum(c * row[k] for k, c in f.items() if k in row)
             if v:
                 f[p] = Fraction(v, row[p])
@@ -240,7 +234,7 @@ class Echelon:
         num * scale is the row being reduced, num' * scale' is its exact
         residual, and coeffs (which needs the scale) collects the
         coefficient used on every labelled stored row."""
-        for stored, p, label in zip(self._rows, self._pivots, self._labels):
+        for p, stored, label in self.rows:
             f = num.get(p)
             if f:
                 if coeffs is not None and label is not None:
@@ -253,10 +247,8 @@ class Echelon:
         return num, scale
 
     def _insert(self, num: dict, pivot, label=None) -> None:
-        pos = bisect_left(self._pivots, pivot)
-        self._rows.insert(pos, num)
-        self._pivots.insert(pos, pivot)
-        self._labels.insert(pos, label)
+        # pivots are distinct, so the probe (pivot,) never compares rows
+        self.rows.insert(bisect_left(self.rows, (pivot,)), (pivot, num, label))
 
     def residual(self, row) -> dict:
         num, scale = self._reduce(*_scaled(row))
@@ -320,6 +312,6 @@ def reduce_rows(rows, tags=None) -> tuple[Echelon, list[dict]]:
             relations.append(num)
     if tags is not None and span.rank:
         first = tags[0]
-        span._rows = [_primitive({x: c for x, c in row.items() if x < first})
-                      for row in span._rows]
+        span.rows = [(p, _primitive({x: c for x, c in row.items() if x < first}), label)
+                     for p, row, label in span.rows]
     return span, relations

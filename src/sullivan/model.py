@@ -1,8 +1,6 @@
 """Sullivan models: construction, validation, length profiles, quotients
 and seeded random elliptic models."""
 
-from __future__ import annotations
-
 import random
 from typing import NamedTuple
 

@@ -19,8 +19,6 @@ monomial form and the triangularity requirement.  parse(print(model))
 round-trips exactly.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 

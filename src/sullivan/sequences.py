@@ -27,8 +27,6 @@ exact by dimension.  `nodes_checked` counts the (node, role) checks of
 the whole grid.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .algebra import Polynomial

@@ -41,8 +41,6 @@ nonzero coordinate in H^i.  The length-keyed echelon serves
 mixed-length models only.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from typing import NamedTuple
 
@@ -80,7 +78,7 @@ class QuotientComplex:
         got = self._deg.get(i)
         if got is None:
             got = self._deg[i] = reduce_rows(
-                [_by_length(row) for _, row, label in self.engine.full(i).echelon.items()
+                [_by_length(row) for _, row, label in self.engine.full(i).echelon.rows
                  if label is None])[0]
         return got
 

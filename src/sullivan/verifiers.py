@@ -11,8 +11,6 @@ and the verdict is pass exactly when no condition left a witness.  A
 not-applicable report carries the unmet hypothesis as its `reason`.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .algebra import multiply

@@ -1,11 +1,15 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import ForwardRef
 
 import pytest
 
+import sullivan
 import sullivan.cli as cli
 from sullivan.cli import main
 from sullivan.library import model_text
@@ -355,3 +359,39 @@ def test_cli_import_loads_no_dataclasses():
     assert out == "False\n", (
         "importing sullivan.cli loaded dataclasses: no module under src/sullivan "
         "may use @dataclass (use typing.NamedTuple or a plain class)")
+
+
+def test_records_hold_no_string_annotations():
+    # typing.NamedTuple turns every string field annotation (as `from
+    # __future__ import annotations` makes them) into a ForwardRef when its
+    # module is imported, which costs start-up time; evaluated ones cost none
+    records = []
+    for info in pkgutil.iter_modules(sullivan.__path__, "sullivan."):
+        module = importlib.import_module(info.name)
+        records += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, tuple)
+                    and hasattr(obj, "_fields") and obj.__module__ == info.name]
+    assert len(records) >= 10
+    forward = [f"{r.__module__}.{r.__name__}.{field}" for r in records
+                for field, ann in r.__dict__.get("__annotations__", {}).items()
+                if isinstance(ann, (str, ForwardRef))]
+    assert not forward, f"string annotations on records: {forward}"
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["cohomology", "--model", "y.txt"], 99999999),
+    (["toomer", "--model", "y.txt"], 99999999),
+    (["verify", "all", "--model", "y.txt"], 99999999),
+    (["cohomology", "--lib", "cp:100000"], 200000),
+    (["toomer", "--lib", "cpl-sphere:2,999999"], 2000001),
+], ids=["cohomology-file", "toomer-file", "verify-file", "cp", "cpl-sphere"])
+def test_formal_dimension_past_the_degree_budget_exits_3(tmp_path, argv, n):
+    # every report lists the degrees 0..N, so a huge N is refused before any
+    # degree is built rather than running until it is killed
+    (tmp_path / "y.txt").write_text("gen y 99999999\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "sullivan.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        f"error: the formal dimension {n} is over the degree budget of 100000"]

@@ -417,7 +417,7 @@ def test_corrupted_integration_functional_is_an_internal_error(monkeypatch):
     functional = Echelon.functional
     model = get_model("example-5gen")
     n = formal_dimension_formula(model)
-    boundary_pivot = next(p for p, _, label in engine_for(model).full(n).echelon.items()
+    boundary_pivot = next(p for p, _, label in engine_for(model).full(n).echelon.rows
                           if label is None)
     corruptions = [
         lambda phi: dict(list(phi.items())[1:]),

@@ -240,6 +240,17 @@ def test_echelon_pivot_is_the_smallest_key():
     assert ech.add({(0, 2): 0}) is None  # zero entries are absent entries
 
 
+def test_echelon_rows_are_kept_in_pivot_order():
+    # (pivot, primitive integer row, label), ascending by pivot whatever
+    # order the rows arrive in; labels ride along with their rows
+    ech = Echelon()
+    ech.add({3: 2, 4: 4}, label="c")
+    ech.add({1: 1, 3: 1})  # enters reduced by the row of pivot 3
+    ech.add({2: 3}, label="b")
+    assert ech.rows == [(1, {1: 1, 4: -2}, None), (2, {2: 1}, "b"), (3, {3: 1, 4: 2}, "c")]
+    assert ech.pivots == [1, 2, 3]
+
+
 def test_echelon_clone_is_independent():
     ech = Echelon()
     ech.add({0: 1})

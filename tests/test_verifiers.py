@@ -406,6 +406,15 @@ def test_theorem3_short_spectrum_exits_4(monkeypatch, capsys):
         [("x", 2), ("y", 3), ("a", 4), ("b", 7)],
         {"y": {(2, 0, 0, 0): Fraction(1)}, "b": {(0, 0, 2, 0): Fraction(1)}},
     )),
+    # CP^1 x S^3: classes in degrees 0, 2, 3, 5, and N = 5 is no multiple of 2
+    ("cpl-sphere:2,1", get_model("cpl-sphere:2,1")),
+    # S^3 x S^9: classes in degrees 0, 3, 9, 12, not 0, 3, 6, 9, 12
+    ("S3xS9", make_model([("y", 3), ("w", 9)])),
 ])
 def test_is_truncated_polynomial_rejects(name, model):
     assert not _is_truncated_polynomial(engine_for(model))
+
+
+def test_is_truncated_polynomial_accepts_the_point():
+    # the point has H = Q in degree 0 only: N = 0, the empty truncation
+    assert _is_truncated_polynomial(engine_for(make_model([])))
