@@ -6,9 +6,10 @@ coefficients never stored.  All Koszul signs are computed at
 normalization time, never stored.
 
 Monomial bases come from a `BasisTable`: suffix lists per generator and
-degree, built iteratively from the last generator up, so no enumeration
-recurses per generator.  The table counts what it stores and refuses,
-with `WorkBudgetError`, to grow past a fixed cell budget.
+degree, each built from two lists the table already holds, so no
+enumeration recurses per generator and a table to degree N costs O(N)
+lists per generator.  The table counts what it stores and refuses, with
+`WorkBudgetError`, to grow past a fixed cell budget.
 """
 
 from fractions import Fraction
@@ -193,10 +194,19 @@ class WorkBudgetError(RuntimeError):
 class BasisTable:
     """The monomial bases of one generator list, with no recursion.  Level
     j, degree r holds the exponent tuples of generators j.. of total
-    degree r, in ascending lexicographic order; level j is built from
-    level j+1 with the exponent of generator j ascending (at most 1 for an
-    odd generator), and level 0 is the basis.  The table grows upward on
-    demand, one degree at a time across every level.
+    degree r, in ascending lexicographic order, and level 0 is the basis.
+    With d the degree of generator j, level j, degree r is
+
+    - level j+1, degree r, with exponent 0 put in front, then
+    - the tuples with generator j's exponent at least 1: level j, degree
+      r - d, with that exponent raised by one when generator j is even, or
+      level j+1, degree r - d, with exponent 1 in front when it is odd
+      (none below d),
+
+    and each part keeps the order of the list it came from, so the whole
+    list is ascending.  The table grows upward on demand, one degree at a
+    time across every level; a degree reads at most two held lists per
+    level.
 
     A tuple of level j has n - j cells.  Each list is counted before it is
     built, and a degree that would take the table past
@@ -231,24 +241,31 @@ class BasisTable:
         n = len(levels) - 1
         cells, got = self.cells, [()] if r == 0 else []
         made = [got]  # degree r, from level n up
+
+        def raised(j: int):
+            # the held list that level j, degree r takes with generator j's
+            # exponent raised by one (`odd[j]` picks level j + 1 when odd)
+            d = degrees[j]
+            return levels[j + odd[j]][r - d] if r >= d else ()
+
         for j in range(n - 1, -1, -1):
-            parts = [got] + _higher(levels[j + 1], r, degrees[j], odd[j])
-            count = sum(map(len, parts))
+            more = raised(j)
+            count = len(got) + len(more)
             cells += count * (n - j)
             if cells > BASIS_CELL_BUDGET:
                 for k in range(j - 1, -1, -1):  # the rest of degree r, counted only
-                    count += sum(map(len, _higher(levels[k + 1], r, degrees[k], odd[k])))
+                    count += len(raised(k))
                     cells += count * (n - k)
                 raise WorkBudgetError(
                     f"the monomial basis of degree {r * self._step} needs a table of "
                     f"{cells} cells, over the work budget of {BASIS_CELL_BUDGET}"
                 )
             if count:
-                got = []
-                for e, part in enumerate(parts):
-                    if part:
-                        head = (e,)
-                        got += [head + m for m in part]
+                got = [(0,) + m for m in got]
+                if odd[j]:
+                    got += [(1,) + m for m in more]
+                else:
+                    got += [(m[0] + 1,) + m[1:] for m in more]
             else:
                 # an empty slot below level 0 shares the empty tuple: with many
                 # generators most slots are empty, and a list would cost 56 bytes
@@ -257,15 +274,6 @@ class BasisTable:
         for level, got in zip(reversed(levels), made):
             level.append(got)
         self.cells = cells
-
-
-def _higher(below: list, r: int, d: int, odd: bool) -> list:
-    """The lists of `below` (one level of a `BasisTable`) that a degree r
-    of the level above takes with exponent 1, 2, .. of its generator of
-    degree d: degrees r - d, r - 2d, .., or just r - d when it is odd."""
-    if r < d:
-        return []
-    return [below[r - d]] if odd else [below[t] for t in range(r - d, -1, -d)]
 
 
 def monomial_basis(gens, degree: int) -> list[Monomial]:

@@ -37,8 +37,10 @@ values of a homogeneous model are read from them too (see `toomer`).
 
 The pairing reads one functional phi on C^N, the fundamental-class
 coordinate of reduction against the top echelon (0 on B^N, 1 on omega),
-built by back-substitution and checked on every top row once.  A class b
-of H^(N-i) gives psi(m) = phi(m b); each entry is one dot product with psi.
+built by back-substitution and checked on every top row once.  An entry
+phi(a b) of the pairing of H^i with H^(N-i) sums, over the term pairs
+c*m of a and e*m2 of b whose product m*m2 = +-t has t in phi, the
+Koszul sign times c * e * phi(t); no product is stored or reduced.
 
 Cochains are polynomials keyed by monomial everywhere: boundaries,
 cocycles and representatives go into `Echelon` as sparse rows with the
@@ -48,7 +50,7 @@ dense elimination over the basis would pick.
 """
 
 from fractions import Fraction
-from operator import sub
+from operator import add
 from typing import NamedTuple
 
 from .algebra import (
@@ -388,7 +390,8 @@ class CohomologyEngine:
 
     def pd_pairing(self, i: int) -> tuple[RatMatrix, bool]:
         """Matrix of H^i x H^(N-i) -> H^N = Q and its nondegeneracy flag:
-        entry (s, t) is phi(a_s b_t), a dual vector of b_t dotted with a_s.
+        entry (s, t) is phi(a_s b_t), summed over the term pairs of a_s and
+        b_t whose product is a monomial phi is defined on.
 
         Used inside certification, so it must not require a certificate;
         it does require dim H^N = 1, which ellipticity guarantees."""
@@ -404,19 +407,13 @@ class CohomologyEngine:
                     raise InternalInvariantError(
                         f"integration on H^{n}: phi(B^{n}) != 0 or phi(omega) != 1")
             self._phi = phi
-        duals = []
-        for b in self.full(n - i).reps:
-            psi: Polynomial = {}
-            for m2, c in b.items():
-                for t, f in self._phi.items():
-                    m = tuple(map(sub, t, m2))  # m * m2 = +-t
-                    if min(m, default=0) >= 0 and (sign := koszul_sign(self.gens, m, m2)):
-                        psi[m] = psi.get(m, 0) + (c * f if sign > 0 else -c * f)
-            duals.append(psi)
-        left = self.full(i).reps
+        phi, gens, left = self._phi, self.gens, self.full(i).reps
         mat = RatMatrix(len(left), [
-            {s: sum(c * psi[m] for m, c in a.items() if m in psi) for s, a in enumerate(left)}
-            for psi in duals])
+            {s: sum(koszul_sign(gens, m, m2) * c * e * phi[t]
+                    for m, c in a.items() for m2, e in b.items()
+                    if (t := tuple(map(add, m, m2))) in phi)
+             for s, a in enumerate(left)}
+            for b in self.full(n - i).reps])
         return mat, mat.rows == mat.cols and rank(mat) == mat.rows
 
     # -- tables ----------------------------------------------------------

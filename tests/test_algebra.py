@@ -182,20 +182,33 @@ def test_basis_table_needs_no_recursion():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
-def test_basis_table_refuses_past_the_work_budget():
-    # 1,200 odd generators of degree 3: degree 3 alone needs about
-    # 5.8 * 10^8 cells; the refusal comes from counting, before any list
-    # of that degree is stored, and a smaller request still works
-    gens = [Generator(i, f"y{i}", 3) for i in range(1200)]
+@pytest.mark.parametrize("degree, off_step", [(3, 2), (2, 1)], ids=["odd", "even"])
+def test_basis_table_refuses_past_the_work_budget(degree, off_step):
+    # 1,200 generators of one degree, odd or even: that degree alone needs
+    # about 5.8 * 10^8 cells; the refusal comes from counting, before any
+    # list of that degree is stored, and a smaller request still works
+    gens = [Generator(i, f"y{i}", degree) for i in range(1200)]
     table = BasisTable(gens)
     assert table.basis(0) == [(0,) * 1200]
     cells = table.cells
     start = time.perf_counter()
-    with pytest.raises(WorkBudgetError, match=r"degree 3 needs a table of 577440800 cells"):
-        table.basis(3)
+    with pytest.raises(WorkBudgetError,
+                       match=rf"degree {degree} needs a table of 577440800 cells"):
+        table.basis(degree)
     assert time.perf_counter() - start < 5
     assert table.cells == cells
-    assert table.basis(0) == [(0,) * 1200] and table.basis(2) == []
+    assert table.basis(0) == [(0,) * 1200] and table.basis(off_step) == []
+
+
+def test_basis_table_grows_linearly_in_the_degree():
+    # each degree reads at most two held lists per level, so the work to
+    # grow a table to degree N is linear in N, even on an even generator
+    # of degree 2 that fills 20,000 degrees of its level
+    table = BasisTable((Generator(0, "u", 3), Generator(1, "x", 2), Generator(2, "y", 80001)))
+    start = time.perf_counter()
+    assert table.basis(40000) == [(0, 20000, 0)]
+    assert table.basis(39999) == [(1, 19998, 0)]
+    assert time.perf_counter() - start < 5
 
 
 def test_engine_basis_is_one_table_read():

@@ -26,6 +26,9 @@ runs that model's commands on it, each as `<command> --model <file name>
 - `cohomology`, `toomer` and `verify all` on the mixed-length models of
   the Toomer tests, pow(3,3), pow(4,3) and three pure models of the test
   corpus.
+- `cohomology` and `toomer` on the library models cp:2000 and
+  cpl-sphere:2,2000, whose formal dimensions (4,000 and 4,003) take the
+  monomial-basis table through thousands of degrees.
 
 The tool hashes the exit code, stdout and stderr of every command, then
 prints the number of commands and names the first command whose hash
@@ -147,6 +150,15 @@ REPORT_MODELS = {
         "d y2 = 2*x2^3 - 2*x1*x2^2 - 2*x1^2*x2 + x1^3\n"),
 }
 
+# Models whose formal dimension N is in the thousands, on which `cohomology`
+# and `toomer` run: the monomial-basis table grows through every degree
+# 0..N, far past the degrees of the other models.
+DEEP_MODELS = {
+    "cp-2000": "gen x 2\ngen y 4001\nd y = x^2001\n",  # cp:2000, N = 4000
+    # cpl-sphere:2,2000, CP^1 x S^4001, N = 4003
+    "cpl-sphere-2-2000": "gen u 4001\ngen x 2\ngen y 3\nd y = x^2\n",
+}
+
 # (file stem, model text, commands); each command runs as
 # `<command> --model <stem>.sul --format json --no-timestamp`
 MODEL_RUNS = tuple(
@@ -155,6 +167,7 @@ MODEL_RUNS = tuple(
        for i, text in enumerate(VALID_TEXTS)]
     + [(name, text, [["cohomology"], ["toomer"], ["verify", "all"]])
        for name, text in REPORT_MODELS.items()]
+    + [(name, text, [["cohomology"], ["toomer"]]) for name, text in DEEP_MODELS.items()]
 )
 
 # Runs in the child: argv = [root, workloads path, command sets as JSON,
