@@ -31,7 +31,6 @@ from math import gcd, lcm
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DimensionMismatchError(ValueError):
@@ -250,17 +249,25 @@ class Echelon:
         # pivots are distinct, so the probe (pivot,) never compares rows
         self.rows.insert(bisect_left(self.rows, (pivot,)), (pivot, num, label))
 
-    def residual(self, row) -> dict:
-        num, scale = self._reduce(*_scaled(row))
+    def _exact(self, row, coeffs: dict | None = None) -> dict:
+        """The exact residual of row reduced against the stored rows; coeffs,
+        when given, collects the coefficient used on every labelled row."""
+        num = _primitive(row)
+        if not num:
+            return {}
+        lead = next(iter(num))
+        num, scale = self._reduce(num, Fraction(row[lead], num[lead]), coeffs)
         return {j: scale * x for j, x in num.items()}
+
+    def residual(self, row) -> dict:
+        return self._exact(row)
 
     def contains(self, row) -> bool:
         return not self._reduce(_primitive(row))[0]
 
     def reduce_with_coeffs(self, row) -> tuple[dict, dict]:
         coeffs: dict = {}
-        num, scale = self._reduce(*_scaled(row), coeffs)
-        return {j: scale * x for j, x in num.items()}, coeffs
+        return self._exact(row, coeffs), coeffs
 
     def add(self, row, label=None) -> dict | None:
         """Reduce row against the stored rows; if independent, insert it
@@ -272,13 +279,6 @@ class Echelon:
         self._insert(num, pivot, label)
         p = num[pivot]
         return {j: Fraction(x, p) for j, x in num.items()}
-
-
-def _scaled(row) -> tuple[dict, Fraction]:
-    """(num, scale): the primitive integer row num with num * scale = row."""
-    num = _primitive(row)
-    lead = next(iter(num), None)
-    return num, (ONE if lead is None else Fraction(row[lead], num[lead]))
 
 
 def reduce_rows(rows, tags=None) -> tuple[Echelon, list[dict]]:

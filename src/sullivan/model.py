@@ -238,9 +238,16 @@ class QuotientError(ValueError):
     pass
 
 
+def project_to_quotient(p: Polynomial) -> Polynomial:
+    """The projection Lambda V -> Lambda W of a cochain onto the quotient by
+    the first generator: every term containing it is dropped and the other
+    terms lose its exponent slot."""
+    return {m[1:]: c for m, c in p.items() if m[0] == 0}
+
+
 def quotient_model(model: SullivanModel, gen: Generator) -> SullivanModel:
-    """Lambda W = Lambda(v2, ..., vn) with dbar = d minus every term
-    containing the stripped generator, built and validated by `make_model`.
+    """Lambda W = Lambda(v2, ..., vn) with dbar = d projected by
+    `project_to_quotient`, built and validated by `make_model`.
     Requires gen to be the first generator and a cocycle."""
     if gen.index != 0:
         raise QuotientError(f"{gen.name} is not the first generator")
@@ -249,7 +256,7 @@ def quotient_model(model: SullivanModel, gen: Generator) -> SullivanModel:
     rest = model.generators[1:]
     return make_model(
         [(g.name, g.degree) for g in rest],
-        {g.name: {m[1:]: c for m, c in model.d_of(g.index).items() if m[0] == 0} for g in rest},
+        {g.name: project_to_quotient(model.d_of(g.index)) for g in rest},
         name=f"{model.name}/{gen.name}" if model.name else None,
     )
 

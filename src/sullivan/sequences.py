@@ -5,8 +5,8 @@ sequence of cochain complexes, 0 -> x1 K -> Lambda V -> Lambda W -> 0,
 with K = Lambda W for odd x1 and K = Lambda V for even x1.  Its long
 exact cohomology sequence is the Wang (x1 odd) or the Gysin (x1 even)
 sequence, cycling through three maps described once by `_cycle` as
-(name, source group, target group, degree shift, length shift), with
-V = Lambda V and W the quotient Lambda W:
+(name, source group, target group, degree shift, length shift) and the
+image of a representative, with V = Lambda V and W the quotient Lambda W:
 
     j                K -> V  chi -> x1 chi, (-1)^i x1 chi for Wang  (|x1|, 1)
     p                V -> W  drop the x1 terms                      (0, 0)
@@ -14,12 +14,13 @@ V = Lambda V and W the quotient Lambda W:
 
 The connecting map is theta for Wang (the derivation theta* of the split
 d = dbar + x1 theta) and partial for Gysin.  x1 leads the canonical
-order, so x1 m is m with its x1 exponent raised and no Koszul sign;
-`_image_functions` builds the images of both sequences one way.  One
-loop builds every map from the table; exactness is checked where
-consecutive maps meet.  The grid is degrees 0..i_max by word lengths
-0..k_max; above the formal dimensions every group vanishes for elliptic
-models, so exactness up to there is a complete verification.  Only
+order, so x1 m is m with its x1 exponent raised and no Koszul sign.  The
+projection V -> W is `model.project_to_quotient`, the one that also
+builds the quotient's differential.  One loop builds every map from the
+table; exactness is checked where consecutive maps meet.  The grid is
+degrees 0..i_max by word lengths 0..k_max; above the formal dimensions
+every group vanishes for elliptic models, so exactness up to there is a
+complete verification.  Only
 nonzero groups and the maps out of them are stored, and verdicts are
 given at nonzero nodes only: at a zero node the incoming rank and the
 outgoing kernel are 0 and every composite through it vanishes, so it is
@@ -27,12 +28,12 @@ exact by dimension.  `nodes_checked` counts the (node, role) checks of
 the whole grid.
 """
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .algebra import Polynomial
+from .algebra import Generator, Polynomial
 from .cohomology import InternalInvariantError, engine_for
 from .linalg import RatMatrix, kernel_basis, matmul, rank, solve_membership
-from .model import QuotientError, SullivanModel, quotient_model
+from .model import QuotientError, SullivanModel, project_to_quotient, quotient_model
 
 NodeKey = tuple[str, int, int | None]  # (group 'V'|'W', upper degree, lower degree)
 
@@ -97,10 +98,6 @@ def _lift_poly(p: Polynomial) -> Polynomial:
     return {(0,) + m: c for m, c in p.items()}
 
 
-def _drop_x1(p: Polynomial) -> Polynomial:
-    return {m[1:]: c for m, c in p.items() if m[0] == 0}
-
-
 def _divide_x1(p: Polynomial) -> Polynomial:
     """Exact division by the first generator."""
     out: Polynomial = {}
@@ -122,36 +119,27 @@ def _classes_matrix(images, target_engine, dst_i, dst_k) -> RatMatrix:
 
 class _Arrow(NamedTuple):
     """One of the three maps of the sequence, out of node (i, k) into
-    (i + shift, k + length_shift)."""
+    (i + shift, k + length_shift); image(chi, i) is the cochain of the
+    target group that the map sends a representative chi of degree i to."""
     name: str
     source: str  # group 'V' | 'W'
     target: str
     shift: int
     length_shift: int
+    image: Callable[[Polynomial, int], Polynomial]
 
 
-def _cycle(kind: str, x1_degree: int, l: int) -> tuple[_Arrow, _Arrow, _Arrow]:
-    """The maps j, p and the connecting map, in the order the sequence
-    runs; each map's target group is the next one's source."""
-    if kind == "wang":
-        j_source, connecting, connecting_target = "W", "theta", "W"
-    else:
-        j_source, connecting, connecting_target = "V", "partial", "V"
-    return (
-        _Arrow("j", j_source, "V", x1_degree, 1),
-        _Arrow("p", "V", "W", 0, 0),
-        _Arrow(connecting, "W", connecting_target, 1 - x1_degree, l - 2),
-    )
-
-
-def _image_functions(kind: str, model: SullivanModel):
-    """Map name -> f(representative, source degree i) = image cochain.
-
-    Only K and the Wang sign depend on the sequence: K = Lambda W enters
-    Lambda V by the lift, and a connecting image leaves its x1 slot."""
+def _cycle(kind: str, model: SullivanModel, l: int) -> tuple[_Arrow, _Arrow, _Arrow]:
+    """The maps j, p and the connecting map of the `kind` sequence of
+    model, in the order the sequence runs; each map's target group is the
+    next one's source.  This is the one place the kind picks a map: only
+    K and the Wang sign depend on it.  For Wang, K = Lambda W enters
+    Lambda V by the lift and a connecting image leaves its x1 slot by the
+    projection; for Gysin, K = Lambda V."""
     wang = kind == "wang"
+    k_group = "W" if wang else "V"
     into_v = _lift_poly if wang else dict
-    from_v = _drop_x1 if wang else dict
+    from_v = project_to_quotient if wang else dict
 
     def j(chi, i):
         sign = -1 if wang and i % 2 else 1
@@ -160,8 +148,12 @@ def _image_functions(kind: str, model: SullivanModel):
     def connecting(chi, i):
         return from_v(_divide_x1(model.d(_lift_poly(chi))))
 
-    return {"j": j, "p": lambda chi, i: _drop_x1(chi),
-            "theta" if wang else "partial": connecting}
+    x1_degree = model.generators[0].degree
+    return (
+        _Arrow("j", k_group, "V", x1_degree, 1, j),
+        _Arrow("p", "V", "W", 0, 0, lambda chi, i: project_to_quotient(chi)),
+        _Arrow("theta" if wang else "partial", "W", k_group, 1 - x1_degree, l - 2, connecting),
+    )
 
 
 def _nonzero_parts(engine, i: int, k_max: int | None) -> dict:
@@ -172,28 +164,34 @@ def _nonzero_parts(engine, i: int, k_max: int | None) -> dict:
     return {k: engine.strand(i, k) for k in sorted(set(engine.full(i).lengths)) if k <= k_max}
 
 
+def _first_generator(model: SullivanModel) -> Generator:
+    """x1, the generator that both sequences strip off; QuotientError on a
+    model without generators."""
+    if not model.generators:
+        raise QuotientError("the model has no first generator")
+    return model.generators[0]
+
+
 def build_wang(model: SullivanModel, ungraded: bool = False) -> LesData:
     """Wang sequence data for an odd cocycle first generator, bigraded
     when the differential has homogeneous length unless `ungraded`.
 
     The model and its quotient must certify elliptic, which makes the
     exactness check complete."""
-    x1 = model.generators[0]
-    if not x1.is_odd:
-        raise QuotientError(f"Wang sequence needs an odd first generator, {x1.name} is even")
     return _build(model, "wang", ungraded)
 
 
 def build_gysin(model: SullivanModel, ungraded: bool = False) -> LesData:
     """Gysin sequence data for an even cocycle first generator."""
-    x1 = model.generators[0]
-    if x1.is_odd:
-        raise QuotientError(f"Gysin sequence needs an even first generator, {x1.name} is odd")
     return _build(model, "gysin", ungraded)
 
 
 def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
-    x1 = model.generators[0]
+    x1 = _first_generator(model)
+    need, have = ("odd" if kind == "wang" else "even"), ("odd" if x1.is_odd else "even")
+    if need != have:
+        raise QuotientError(
+            f"{kind.title()} sequence needs an {need} first generator, {x1.name} is {have}")
     eng_v = engine_for(model)
     quotient = quotient_model(model, x1)
     eng_w = engine_for(quotient)
@@ -208,8 +206,7 @@ def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
     k_max = max(eng_v.max_length(), eng_w.max_length()) + l if bigraded else None
 
     engines = {"V": eng_v, "W": eng_w}
-    cycle = _cycle(kind, x1.degree, l)
-    images = _image_functions(kind, model)
+    cycle = _cycle(kind, model, l)
     dims: dict[NodeKey, int] = {}
     maps: dict[tuple[str, int, int | None], LesMap] = {}
     for i in range(0, i_max + 1):
@@ -218,13 +215,12 @@ def _build(model: SullivanModel, kind: str, ungraded: bool) -> LesData:
         dims.update(((group, i, k), part.dim) for group in parts for k, part in parts[group].items())
         for arrow in cycle:
             ti = i + arrow.shift
-            image = images[arrow.name]
             for k, part in parts[arrow.source].items():
                 tk = None if k is None else k + arrow.length_shift
                 if not 0 <= ti <= top[arrow.target]:  # H^ti of the target group is zero
                     matrix = RatMatrix(0, [{}] * part.dim)
                 else:
-                    matrix = _classes_matrix([image(chi, i) for chi in part.reps],
+                    matrix = _classes_matrix([arrow.image(chi, i) for chi in part.reps],
                                              engines[arrow.target], ti, tk)
                 maps[(arrow.name, i, k)] = LesMap(
                     arrow.name, (arrow.source, i, k), (arrow.target, ti, tk), matrix)
@@ -251,7 +247,7 @@ def _node_checks(les: LesData):
     the first and the source of the second; every node of every chain of
     the LES family appears exactly once per role.  Map keys are
     (kind, source i, source k)."""
-    cycle = _cycle(les.kind, les.x1_degree, les.l)
+    cycle = _cycle(les.kind, les.model, les.l)
     pairs = tuple(zip(cycle, cycle[1:] + cycle[:1]))
     for i, k in sorted({(i, k) for (_, i, k), dim in les.dims.items() if dim}):
         for into, out in pairs:
@@ -333,4 +329,4 @@ def _dimension_relation(model: SullivanModel, quotient: SullivanModel) -> Dimens
 
 def formal_dimension_relation(model: SullivanModel) -> DimensionRelationVerdict:
     """N = M + 2r + 1 for odd |x1| = 2r+1; N = M - 2r + 1 for even 2r."""
-    return _dimension_relation(model, quotient_model(model, model.generators[0]))
+    return _dimension_relation(model, quotient_model(model, _first_generator(model)))

@@ -44,7 +44,7 @@ def corrupt_connecting_sign(les: LesData) -> LesData:
     column with >= 2 nonzero entries (a plain rescaling of a basis vector
     would leave every kernel and image unchanged).  Raises when no
     connecting column mixes classes."""
-    connecting = _cycle(les.kind, les.x1_degree, les.l)[2].name
+    connecting = _cycle(les.kind, les.model, les.l)[2].name
     # the first in (degree, length) order; k is None on every key or on none
     for key in sorted(key for key in les.maps if key[0] == connecting):
         lmap = les.maps[key]

@@ -8,7 +8,7 @@ from test_cli_golden import MIXED_MODELS
 
 from sullivan.algebra import Derivation, Generator, apply_derivation, multiply
 from sullivan.cli import main
-from sullivan.cohomology import CohomologyEngine, engine_for
+from sullivan.cohomology import CohomologyEngine, InternalInvariantError, engine_for
 from sullivan.library import get_model, library
 from sullivan.linalg import RatMatrix, matmul, rank
 from sullivan.model import (
@@ -25,8 +25,8 @@ from sullivan.sequences import (
     LesData,
     LesMap,
     NodeVerdict,
+    _cycle,
     _exactness_witness,
-    _image_functions,
     _node_checks,
     _position_label,
     build_gysin,
@@ -195,6 +195,25 @@ def test_parity_preconditions():
         build_gysin(get_model("heisenberg"))
 
 
+@pytest.mark.parametrize("build, name, message", [
+    (build_wang, "cp:2", "Wang sequence needs an odd first generator, x is even"),
+    (build_gysin, "heisenberg", "Gysin sequence needs an even first generator, a is odd"),
+])
+def test_parity_refusals_keep_their_text(build, name, message):
+    # the CLI prints these refusals with exit code 3
+    with pytest.raises(QuotientError) as refusal:
+        build(get_model(name))
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("call", [build_wang, build_gysin, formal_dimension_relation])
+def test_a_model_with_no_generators_is_refused(call):
+    # the reader refuses a text without a `gen` line, so only the library
+    # API can reach this; it is a QuotientError, not an IndexError
+    with pytest.raises(QuotientError, match="^the model has no first generator$"):
+        call(make_model([]))
+
+
 def test_non_cocycle_first_generator_is_refused_by_the_quotient():
     # only a model built without `validate` can lead with a non-cocycle;
     # quotient_model is the one place that refuses it, for the sequences too
@@ -271,6 +290,21 @@ def test_corrupted_theta_fails_exactness():
             assert not report.all_exact, (model.name, ungraded)
             assert_corrupted_witness(report, model.name, ungraded)
             assert "LW" in report.failures[0].position
+
+
+def test_check_exactness_refuses_a_map_of_the_wrong_shape():
+    # negative control for the shape check: a map whose matrix has one row
+    # more than its target node's dimension is an internal fault, named by
+    # the map's key, before its rank is taken
+    les = build_wang(get_model("heisenberg"))
+    assert check_exactness(les).all_exact
+    key = ("j", 1, 1)
+    lmap = les.maps[key]
+    taller = RatMatrix(lmap.matrix.rows + 1, lmap.matrix.columns)
+    bad = les._replace(maps={**les.maps, key: lmap._replace(matrix=taller)})
+    with pytest.raises(InternalInvariantError) as fault:
+        check_exactness(bad)
+    assert str(fault.value) == f"map {key} is 3x2 between nodes of dimension 2 -> 2"
 
 
 @pytest.mark.parametrize("in_mat, out_mat, witness", [
@@ -568,7 +602,7 @@ def test_connecting_map_is_theta_on_every_representative():
         if not certificate.ok:
             continue
         theta = wang_derivation(model, x1)
-        connecting = _image_functions("wang", model)["theta"]
+        connecting = _cycle("wang", model, length_profile(model).l)[2].image
         for i in range(certificate.formal_dimension + 1):
             for c in engine_for(quotient).classes(i):
                 want = apply_derivation(quotient.generators, theta, c.representative)

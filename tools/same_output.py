@@ -23,9 +23,11 @@ runs that model's commands on it, each as `<command> --model <file name>
 - `validate` on syntax errors and structural faults;
 - `validate` and `cohomology` on edge cases of the polynomial reader that
   validate, one of them with fractions in the representatives;
-- `cohomology`, `toomer` and `verify all` on the mixed-length models of
-  the Toomer tests, pow(3,3), pow(4,3) and three pure models of the test
-  corpus.
+- `cohomology`, `toomer`, `verify all`, `wang`, `gysin`, `wang --ungraded`
+  and `gysin --ungraded` on the mixed-length models of the Toomer tests,
+  pow(3,3), pow(4,3) and three pure models of the test corpus; the
+  sequence whose parity does not fit the first generator exits 3 with its
+  refusal.
 - `cohomology` and `toomer` on the library models cp:2000 and
   cpl-sphere:2,2000, whose formal dimensions (4,000 and 4,003) take the
   monomial-basis table through thousands of degrees.
@@ -114,7 +116,8 @@ def _pow(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Models on which `cohomology`, `toomer` and `verify all` run: mixed-length
+# Models on which `cohomology`, `toomer`, `verify all` and both sequences,
+# bigraded where the model allows and ungraded, run: mixed-length
 # models, whose Toomer values rest on the length-keyed echelon of B^i (e0
 # of a class is the shortest word length of its residual modulo B^i), and
 # homogeneous pure models, whose representatives rest on the elimination.
@@ -165,7 +168,8 @@ MODEL_RUNS = tuple(
     [(f"faulty{i}", text, [["validate"]]) for i, text in enumerate(FAULTY_TEXTS)]
     + [(f"valid{i}", text, [["validate"], ["cohomology"]])
        for i, text in enumerate(VALID_TEXTS)]
-    + [(name, text, [["cohomology"], ["toomer"], ["verify", "all"]])
+    + [(name, text, [["cohomology"], ["toomer"], ["verify", "all"], ["wang"], ["gysin"],
+                     ["wang", "--ungraded"], ["gysin", "--ungraded"]])
        for name, text in REPORT_MODELS.items()]
     + [(name, text, [["cohomology"], ["toomer"]]) for name, text in DEEP_MODELS.items()]
 )
