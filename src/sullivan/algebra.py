@@ -124,7 +124,8 @@ class LeibnizTable:
     where each product is put in canonical order.  For a term u of D(x_i)
     the sign of moving it into place is (-1)^(|u|*|L|) times the Koszul
     sign of u*x^(a-e_i), with L = x_1^a_1...x_i^(a_i-1) the factors that
-    stood before it; the Koszul sign counts the odd-odd inversions
+    stood before it (an odd x_i has a_i = 1, so the odd factors of L are
+    those before x_i); the Koszul sign counts the odd-odd inversions
     between u and x^(a-e_i), and a shared odd generator kills the term.
     Signs and multiplicities are integers, and coefficients stay ints
     where D's are integers: an image holds a Fraction only where some
@@ -163,7 +164,6 @@ class LeibnizTable:
             if not (a and values[i]):
                 continue
             before = below[i]  # odd factors of x_1^a_1...x_(i-1)^a_(i-1)
-            lead = before + (1 if a > 1 and odd[i] else 0)
             base = self._shift * before
             w = list(m)
             w[i] -= 1
@@ -174,7 +174,7 @@ class LeibnizTable:
                         break
                     flips += below[p]
                 else:
-                    flips += len(odds) * lead
+                    flips += len(odds) * before
                     key = tuple(map(add, w, u))
                     out[key] = out.get(key, 0) + (-a * c if flips & 1 else a * c)
         return {key: c for key, c in out.items() if c}

@@ -37,10 +37,17 @@ values of a homogeneous model are read from them too (see `toomer`).
 
 The pairing reads one functional phi on C^N, the fundamental-class
 coordinate of reduction against the top echelon (0 on B^N, 1 on omega),
-built by back-substitution and checked on every top row once.  An entry
-phi(a b) of the pairing of H^i with H^(N-i) sums, over the term pairs
-c*m of a and e*m2 of b whose product m*m2 = +-t has t in phi, the
-Koszul sign times c * e * phi(t); no product is stored or reduced.
+built by back-substitution and checked on every top row once.  phi is
+kept as integers over one common denominator, keyed by an integer code
+of each monomial whose sum is the code of the product in degree N.  Each
+representative is read as the primitive integer row that its echelon
+stores under its label.  An entry phi(a b) of the pairing of H^i with
+H^(N-i) is then an integer sum, over the term pairs c*m of a and e*m2 of
+b whose product m*m2 = +-t has t in phi, of the Koszul sign (from the
+odd-generator bitmasks of m and m2) times c * e * phi(t), divided once by
+the two rows' pivot entries and the denominator: one Fraction per
+nonzero entry, and none at all when H^i or H^(N-i) is zero.  No product
+is stored or reduced.
 
 Cochains are polynomials keyed by monomial everywhere: boundaries,
 cocycles and representatives go into `Echelon` as sparse rows with the
@@ -50,7 +57,8 @@ dense elimination over the basis would pick.
 """
 
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import (
@@ -59,7 +67,6 @@ from .algebra import (
     Monomial,
     Polynomial,
     WorkBudgetError,
-    koszul_sign,
     poly_str,
     word_length,
 )
@@ -185,7 +192,7 @@ class CohomologyEngine:
         # B^i left by the build below, until H^i is built
         self._boundaries: dict[int, Echelon] = {}
         self._certificate: EllipticityCertificate | None = None
-        self._phi: dict[Monomial, Fraction] | None = None
+        self._phi: tuple[dict, int, tuple] | None = None  # see _integration
         # the length profile every layer reads: bigraded tables, Toomer,
         # Wang/Gysin and the theorem checkers
         self.profile = length_profile(model)
@@ -313,7 +320,8 @@ class CohomologyEngine:
         a monomial there is some x_j times a monomial of degree > N.
 
         Pairings, read off one functional on C^N (module docstring), are
-        checked for i <= N/2: pd_pairing(N - i) = (-1)^(i(N-i)) pd_pairing(i)^T.
+        checked for i <= N/2: pd_pairing(N - i) = (-1)^(i(N-i)) pd_pairing(i)^T,
+        and only in the degrees where H can be nonzero.
         An N over `DEGREE_BUDGET` raises `WorkBudgetError` before any
         degree, of either algebra, is built.
         """
@@ -329,7 +337,10 @@ class CohomologyEngine:
         witness = self._pure_quotient_witness(n_form)
         if witness:
             return EllipticityCertificate("refutation", n_form, witness)
-        for i in range(n_form // 2 + 1):
+        # every degree of H is a multiple of the generators' degree gcd, and so
+        # is N: a pairing in any other degree is between two zero spaces
+        step = gcd(*(g.degree for g in self.gens)) or 1
+        for i in range(0, n_form // 2 + 1, step):
             mat, ok = self.pd_pairing(i)
             if not ok:
                 raise InternalInvariantError(
@@ -341,7 +352,9 @@ class CohomologyEngine:
     def _pure_quotient_witness(self, n_form: int) -> str | None:
         """A degree in N+1..N+max|x_even| where Q[V^even]/(d_sigma V^odd)
         is nonzero, with a monomial outside the ideal; None when the
-        quotient vanishes there (always, without even generators)."""
+        quotient vanishes there (always, without even generators).  A
+        degree's elimination stops once every monomial is a pivot: the
+        later multiples are dependent, so the verdict is the same."""
         evens = self.model.even_generators
         odds = self.model.odd_generators
         relations = []
@@ -356,13 +369,14 @@ class CohomologyEngine:
         top = max((g.degree for g in evens), default=0)
         bases = BasisTable(evens)
         for n in range(n_form + 1, n_form + top + 1):
-            span, _ = reduce_rows([
+            monomials = bases.basis(n)
+            span, _ = reduce_rows((
                 {tuple(a + b for a, b in zip(mult, m)): c for m, c in rel.items()}
                 for degree, rel in relations for mult in bases.basis(n - degree)
-            ])
+            ), full_rank=len(monomials))
             pivots = set(span.pivots)
             # a monomial that is no row's pivot is outside the ideal's span
-            outside = next((m for m in bases.basis(n) if m not in pivots), None)
+            outside = next((m for m in monomials if m not in pivots), None)
             if outside is not None:
                 return (
                     f"Q[V^even]/(d_sigma V^odd) != 0 in degree {n} > N = {n_form}: "
@@ -401,20 +415,46 @@ class CohomologyEngine:
             raise InternalInvariantError(
                 f"dim H^{n} = {top.dim} != 1 at the formal dimension, pairing undefined")
         if self._phi is None:
-            phi = top.echelon.functional(0)
-            for p, row, label in top.echelon.rows:
-                if sum(c * row[t] for t, c in phi.items() if t in row) != (label == 0) * row[p]:
-                    raise InternalInvariantError(
-                        f"integration on H^{n}: phi(B^{n}) != 0 or phi(omega) != 1")
-            self._phi = phi
-        phi, gens, left = self._phi, self.gens, self.full(i).reps
-        mat = RatMatrix(len(left), [
-            {s: sum(koszul_sign(gens, m, m2) * c * e * phi[t]
-                    for m, c in a.items() for m2, e in b.items()
-                    if (t := tuple(map(add, m, m2))) in phi)
-             for s, a in enumerate(left)}
-            for b in self.full(n - i).reps])
+            self._phi = self._integration(n, top)
+        left, right = self.full(i), self.full(n - i)
+        if not (left.dim and right.dim):  # nondegenerate only if both are zero
+            return RatMatrix(left.dim, [{}] * right.dim), left.dim == right.dim
+        phi, den, codes = self._phi
+        lefts, cols = _coded_terms(left, codes), []
+        for pb, b in _coded_terms(right, codes):
+            col = {}
+            for s, (pa, a) in enumerate(lefts):
+                total = 0
+                for m, c, ma in a:
+                    for m2, e, mb in b:
+                        if not ma & mb and (v := phi.get(m + m2)):
+                            total += _sign(ma, mb) * c * e * v
+                if total:
+                    col[s] = Fraction(total, pa * pb * den)
+            cols.append(col)
+        mat = RatMatrix(left.dim, cols)
         return mat, mat.rows == mat.cols and rank(mat) == mat.rows
+
+    def _integration(self, n: int, top: _DegreeCohomology) -> tuple[dict, int, tuple]:
+        """(phi, den, codes), checked on every row of the top echelon: the
+        functional is phi / den, phi integer-valued and keyed by monomial
+        code.  codes = (weights, odd bits): a monomial's code is its dot
+        product with the weights, the powers of N + 1, and its odd-generator
+        bitmask its dot product with the odd bits (an odd exponent is 0 or
+        1).  An exponent in degree N is at most N, so codes tell the
+        monomials of degree N apart, and m*m2 in degree N has the code
+        code(m) + code(m2)."""
+        phi = top.echelon.functional(0)
+        den = lcm(*(v.denominator for v in phi.values()))
+        phi = {t: v.numerator * (den // v.denominator) for t, v in phi.items()}
+        for p, row, label in top.echelon.rows:
+            if sum(c * row[t] for t, c in phi.items() if t in row) != (label == 0) * den * row[p]:
+                raise InternalInvariantError(
+                    f"integration on H^{n}: phi(B^{n}) != 0 or phi(omega) != 1")
+        weights = [(n + 1) ** k for k in range(len(self.gens))]
+        odd_bits = [(g.degree & 1) << k for k, g in enumerate(self.gens)]
+        return ({sum(map(mul, t, weights)): v for t, v in phi.items()}, den,
+                (weights, odd_bits))
 
     # -- tables ----------------------------------------------------------
 
@@ -441,6 +481,31 @@ class CohomologyEngine:
         hits = [[i for i in range(n + 1) if h[i][k]] for k in range(e_top + 1)]
         return BigradedTable(h, tuple(hit[0] if hit else None for hit in hits),
                              tuple(hit[-1] if hit else None for hit in hits), e_top, n)
+
+
+def _coded_terms(part: _DegreeCohomology, codes: tuple) -> list[tuple[int, list]]:
+    """Each representative of H^i as the primitive integer row R its echelon
+    stores under its label (the representative is R / R[pivot]): R[pivot],
+    then (code, R entry, odd-generator bitmask) per term (codes: see
+    `CohomologyEngine._integration`)."""
+    weights, odd_bits = codes
+    out = [None] * part.dim
+    for p, row, label in part.echelon.rows:
+        if label is not None:
+            out[label] = row[p], [(sum(map(mul, m, weights)), c, sum(map(mul, m, odd_bits)))
+                                  for m, c in row.items()]
+    return out
+
+
+def _sign(ma: int, mb: int) -> int:
+    """The Koszul sign of m*m2 from the odd-generator bitmasks of m and m2,
+    which share no bit: (-1)^(pairs of an odd factor of m2 below one of m)."""
+    flips = 0
+    while mb:
+        low = mb & -mb
+        flips += (ma & -(low << 1)).bit_count()  # the odd factors of m above low
+        mb ^= low
+    return -1 if flips & 1 else 1
 
 
 def engine_for(model: SullivanModel) -> CohomologyEngine:

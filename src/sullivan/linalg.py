@@ -218,13 +218,19 @@ class Echelon:
     def functional(self, label) -> dict:
         """{pivot: f(pivot)} for the linear f(row) = the coefficient reducing row
         collects on the row labelled `label`, zero off these keys: back from the
-        last pivot, f(p) = [R labelled] - sum_(k != p) R[k] f(k), R monic."""
-        f: dict = {}
+        last pivot, f(p) = [R labelled] - sum_(k != p) R[k] f(k), R monic.  The
+        values are kept as integers over one denominator, which each stored
+        row's pivot entry extends as needed, and made Fractions at the end."""
+        f, den = {}, 1  # f = num / den, in integers
         for p, row, lab in reversed(self.rows):
-            v = (lab == label) * row[p] - sum(c * row[k] for k, c in f.items() if k in row)
+            v = (lab == label) * row[p] * den - sum(row[k] * c for k, c in f.items() if k in row)
             if v:
-                f[p] = Fraction(v, row[p])
-        return f
+                g = gcd(v, row[p])
+                if row[p] != g:  # f(p) = v / (row[p] den) needs den * row[p] / g
+                    f = {k: c * (row[p] // g) for k, c in f.items()}
+                    den *= row[p] // g
+                f[p] = v // g
+        return {k: Fraction(c, den) for k, c in f.items()}
 
     def _reduce(self, num: dict, scale: Fraction | None = None,
                 coeffs: dict | None = None) -> tuple[dict, Fraction | None]:
@@ -281,9 +287,13 @@ class Echelon:
         return {j: Fraction(x, p) for j, x in num.items()}
 
 
-def reduce_rows(rows, tags=None) -> tuple[Echelon, list[dict]]:
+def reduce_rows(rows, tags=None, full_rank=None) -> tuple[Echelon, list[dict]]:
     """One pass of elimination over a sequence of sparse rows, in order:
     (span, relations), span an unlabelled `Echelon` of the rows' span.
+
+    full_rank, when given without tags, is the dimension of the space the
+    rows lie in: once the span has that many rows, every later row is
+    dependent, so the pass stops there and reads no more of `rows`.
 
     With tags (one key per row, ascending, each sorting after every key
     of every row), row j enters as row_j + tags[j], so the tags of a
@@ -308,6 +318,8 @@ def reduce_rows(rows, tags=None) -> tuple[Echelon, list[dict]]:
         pivot = min(num)
         if tags is None or pivot < tags[0]:
             span._insert(num, pivot)
+            if span.rank == full_rank:
+                break
         else:  # num[tags[j]] > 0: no stored row carries tags[j]
             relations.append(num)
     if tags is not None and span.rank:

@@ -22,6 +22,12 @@ it gives, with no choice left:
 
 These are the quantities `CohomologyEngine` derives by its own sparse
 elimination, so the tests compare them item for item.
+
+`pairing` is the Poincare-duality pairing H^i x H^(N-i) -> Q on these
+representatives: each product a*b is multiplied out term by term, with the
+sign of sorting its odd factors counted by hand, and its coordinate on the
+fundamental class omega is read by reducing it, like omega, modulo the
+reduced rows of B^N: what is left is that coordinate times omega.
 """
 
 from fractions import Fraction
@@ -31,6 +37,7 @@ from typing import NamedTuple
 
 class DegreeReference(NamedTuple):
     boundary_pivots: list  # the leading monomials of B^i, ascending
+    boundaries: list  # B^i as its reduced rows, dense over basis(i)
     relations: list  # kernel vectors of d on C^i, as tuples of Fractions
     reps: list  # representatives of H^i, {monomial: Fraction}
 
@@ -113,6 +120,63 @@ def reference(engine, top: int) -> list[DegreeReference]:
                 span.append(res)
                 reps.append({basis[j]: x for j, x in enumerate(res) if x})
         leading = [basis[p] for p in rref(boundaries, len(basis))[1]]
-        out.append(DegreeReference(leading, relations, reps))
+        out.append(DegreeReference(leading, boundaries, relations, reps))
         boundaries = rref(images, len(target))[0]
     return out
+
+
+def _product(gens, a: dict, b: dict) -> dict:
+    """a*b for polynomials {monomial: coefficient}: a term is the sign of
+    sorting the odd factors of m, then those of m2, into generator order,
+    times the coefficients; a shared odd factor kills it."""
+    out: dict = {}
+    for m, c in a.items():
+        for m2, e in b.items():
+            odd = [k for k, x in enumerate(m) if x and gens[k].is_odd]
+            odd2 = [k for k, x in enumerate(m2) if x and gens[k].is_odd]
+            if set(odd) & set(odd2):
+                continue
+            seq = odd + odd2
+            swaps = sum(1 for x in range(len(seq)) for y in range(x + 1, len(seq))
+                        if seq[x] > seq[y])
+            t = tuple(x + y for x, y in zip(m, m2))
+            out[t] = out.get(t, 0) + (-1) ** swaps * c * e
+    return {t: v for t, v in out.items() if v}
+
+
+def pairing(engine, refs: list, i: int) -> tuple[list, bool]:
+    """(columns, nondegenerate) of H^i x H^(N-i) -> Q, N = len(refs) - 1, on
+    the representatives of `refs` (`reference(engine, N)`): column t holds
+    phi(a_s b_t) for each class a_s of H^i, phi the coordinate on the
+    fundamental class."""
+    n = len(refs) - 1
+    basis = engine.basis(n)
+    index = {m: r for r, m in enumerate(basis)}
+    rows = [(next(k for k, x in enumerate(row) if x), row) for row in refs[n].boundaries]
+
+    def reduced(p: dict) -> list:
+        v = [Fraction(0)] * len(basis)
+        for m, c in p.items():
+            v[index[m]] = Fraction(c)
+        for k, row in rows:  # reduced rows: each clears its pivot alone
+            if v[k]:
+                f = v[k]
+                v = [x - f * y for x, y in zip(v, row)]
+        return v
+
+    [top] = refs[n].reps
+    omega = reduced(top)
+    q = next(k for k, x in enumerate(omega) if x)
+    left, right = refs[i].reps, refs[n - i].reps
+    columns = []
+    for b in right:
+        column = []
+        for a in left:
+            v = reduced(_product(engine.gens, a, b))
+            c = v[q] / omega[q]
+            assert v == [c * x for x in omega], "a product is not a multiple of omega mod B^N"
+            column.append(c)
+        columns.append(tuple(column))
+    square = [list(col) for col in zip(*columns)]  # row s: the entries of class a_s
+    nondegenerate = len(left) == len(right) and len(rref(square, len(right))[1]) == len(left)
+    return columns, nondegenerate

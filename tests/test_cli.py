@@ -86,6 +86,22 @@ def test_validate_reports_d_squared_violation(tmp_path, capsys):
         {"generator": "y", "condition": "d-squared", "message": "d(d(y)) = x^3", "line": 5}]
 
 
+def test_validate_applies_a_non_triangular_differential_twice(tmp_path, capsys):
+    """`validate` applies d to every well-shaped generator, also to one it
+    has just reported as non-triangular; these d-squared lines need the
+    general Leibniz rule, with odd factors of a value after an odd x_i."""
+    path = tmp_path / "g.sul"
+    path.write_text("gen g0 1\ngen g1 2\ngen g2 1\ngen g3 2\n"
+                    "d g0 = -g0*g2\nd g1 = g1*g2 + g0*g1\n"
+                    "d g2 = 2*g0*g2\nd g3 = -g0*g1 + 2*g0*g3\n")
+    assert main(["validate", "--model", str(path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "d-squared" in line] == [
+        "  line 6: g1: d-squared: d(d(g1)) = g0*g1*g2",
+        "  line 8: g3: d-squared: d(d(g3)) = -2*g0*g2*g3 + 2*g0*g1*g2",
+    ]
+
+
 def test_validate_library_model(capsys):
     code = main(["validate", "--lib", "mixed:3"])
     out = capsys.readouterr().out

@@ -24,7 +24,7 @@ from sullivan.cohomology import (
     pd_pairing,
 )
 from sullivan.library import get_model, library
-from sullivan.linalg import Echelon, RatMatrix, kernel_basis, matmul, rank
+from sullivan.linalg import Echelon, RatMatrix, kernel_basis, matmul, rank, reduce_rows
 from sullivan.model import (
     RandomModelParams,
     length_profile,
@@ -316,6 +316,41 @@ def test_certifier_basis_table_keeps_witnesses(monkeypatch, random_corpus):
             assert CohomologyEngine(m)._pure_quotient_witness(n_form) == witness, m.name
 
 
+def test_witness_stop_keeps_the_full_pass(monkeypatch, random_corpus):
+    """The certifier's elimination stops once every monomial of a degree is
+    a pivot; a full pass over every multiple of the relations gives the
+    same pivots in every degree of the window, so the same witness, on the
+    library, the corpus, the controls and rejected sampler attempts."""
+    full_rank_passes = []
+
+    def full_pass(rows, tags=None, full_rank=None):
+        rows = list(rows)
+        span = reduce_rows(rows)[0]
+        stopped = reduce_rows(rows, full_rank=full_rank)[0]
+        assert stopped.pivots == span.pivots
+        full_rank_passes.append(span.rank == full_rank)
+        return span, []
+
+    drawn = []
+    decide = cohomology_module.certify_elliptic
+    monkeypatch.setattr(cohomology_module, "certify_elliptic",
+                        lambda model: drawn.append(model) or decide(model))
+    for seed in range(20):
+        random_elliptic_model(seed, SAMPLED_SHAPES[1])
+    monkeypatch.undo()
+    controls = [parse_model(text, name=name) for name, (text, _) in CERTIFICATE_CONTROLS.items()]
+    models = [m for m in library() + random_corpus + drawn + controls
+              if formal_dimension_formula(m) >= 0]
+    witnesses = [CohomologyEngine(m)._pure_quotient_witness(formal_dimension_formula(m))
+                 for m in models]
+    assert sum(w is not None for w in witnesses) >= 3
+    monkeypatch.setattr(cohomology_module, "reduce_rows", full_pass)
+    for m, witness in zip(models, witnesses):
+        assert CohomologyEngine(m)._pure_quotient_witness(formal_dimension_formula(m)) == \
+            witness, m.name
+    assert any(full_rank_passes) and not all(full_rank_passes)
+
+
 def test_fundamental_class_odd_sphere():
     cls = fundamental_class(get_model("sphere:5"))
     assert cls.representative == {(1,): Fraction(1)}
@@ -409,6 +444,18 @@ def test_pd_pairing_matches_per_product_reference(random_corpus):
             assert engine.pd_pairing(i) == reference_pd_pairing(engine, i), (m.name, i)
             compared += 1
     assert compared == 661
+
+
+def test_pairing_codes_separate_the_top_degree(random_corpus):
+    """The pairing keys a monomial by its dot product with powers of N + 1,
+    so the code of m*m2 is code(m) + code(m2); it reads phi right only if
+    no two monomials of degree N share a code."""
+    for m in library() + random_corpus + [pow_model(3, 3), pow_model(3, 4)]:
+        engine = engine_for(m)
+        n = engine.require_certificate().formal_dimension
+        _, _, (weights, _) = engine._integration(n, engine.full(n))
+        codes = {sum(e * w for e, w in zip(t, weights)) for t in engine.basis(n)}
+        assert len(codes) == len(engine.basis(n)), m.name
 
 
 def test_corrupted_integration_functional_is_an_internal_error(monkeypatch):

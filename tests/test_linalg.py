@@ -11,6 +11,7 @@ from sullivan.linalg import (
     kernel_basis,
     matmul,
     rank,
+    reduce_rows,
     solve_membership,
 )
 
@@ -444,3 +445,53 @@ def test_integer_echelon_matches_fraction_echelon():
                 pairs.append((ech.clone(), ref.clone()))
             assert ech.rank == len(ref.rows)
     assert labelled > 100
+
+
+def test_a_pass_stopped_at_full_rank_keeps_the_full_pass():
+    """reduce_rows(rows, full_rank=dim) over rows in a space of dimension
+    dim stores the very rows of the full pass, and reads no row after the
+    one that completes the span."""
+    rng = random.Random(37)
+    stopped = 0
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        rows = [{k: rng.randint(-3, 3) for k in rng.sample(range(dim), rng.randint(0, dim))}
+                for _ in range(rng.randint(0, 2 * dim + 2))]
+        full = reduce_rows(rows)[0]
+        read = []
+        span = reduce_rows((read.append(j) or row for j, row in enumerate(rows)),
+                           full_rank=dim)[0]
+        assert span.rows == full.rows
+        if full.rank == dim:
+            # the row that completed the span is the last one read
+            last = reduce_rows(rows[:len(read) - 1])[0]
+            assert last.rank == dim - 1
+            stopped += len(read) < len(rows)
+        else:
+            assert len(read) == len(rows)
+    assert stopped  # some passes stopped before the last row
+
+
+def test_functional_is_the_coefficient_on_its_label():
+    """Echelon.functional(label), kept in integers over one denominator, is
+    the coefficient that reduction collects on the labelled row, on every
+    row of the span, with pivot entries of either sign."""
+    rng = random.Random(41)
+    for _ in range(100):
+        dim = rng.randint(1, 6)
+        ech = Echelon()
+        for j in range(rng.randint(1, dim)):
+            ech.add({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in range(dim)},
+                    label=j if rng.random() < 0.7 else None)
+        for label in {lab for _, _, lab in ech.rows if lab is not None}:
+            f = ech.functional(label)
+            for _ in range(5):
+                row = {}
+                for _, stored, _ in ech.rows:
+                    x = rng.randint(-3, 3)
+                    for k, c in stored.items():
+                        row[k] = row.get(k, 0) + x * c
+                residual, coeffs = ech.reduce_with_coeffs(row)
+                assert not residual
+                assert sum(c * row.get(k, 0) for k, c in f.items()) == \
+                    coeffs.get(label, 0), (ech.rows, label, row)

@@ -20,7 +20,9 @@ directory, so that the reports name the same model in both checkouts, and
 runs that model's commands on it, each as `<command> --model <file name>
 --format json --no-timestamp`:
 
-- `validate` on syntax errors and structural faults;
+- `validate` on syntax errors and structural faults, among them a
+  differential that is not triangular, whose `d-squared` lines apply the
+  general Leibniz rule;
 - `validate` and `cohomology` on edge cases of the polynomial reader that
   validate, one of them with fractions in the representatives;
 - `cohomology`, `toomer`, `verify all`, `wang`, `gysin`, `wang --ungraded`
@@ -83,6 +85,10 @@ FAULTY_TEXTS = tuple(
         "gen u 3\ngen x 2\ngen w 7\n# u^2 = 0\nd w = u^2*x\n",
         # a sum that leaves and comes back
         "gen x 2\ngen u 3\ngen y 3\nd y = 0 + u + 2\n",
+        # a differential that is not triangular: its d-squared lines apply
+        # the general Leibniz rule, odd factors after an odd x_i included
+        "gen g0 1\ngen g1 2\ngen g2 1\ngen g3 2\n"
+        "d g0 = -g0*g2\nd g1 = g1*g2 + g0*g1\nd g2 = 2*g0*g2\nd g3 = -g0*g1 + 2*g0*g3\n",
     ]
 )
 VALID_TEXTS = tuple(
